@@ -2,20 +2,25 @@
 
 A distance matrix here is always a symmetric matrix of *squared* Euclidean
 distances with zero diagonal. Bordering such a matrix with a 0/1 row and
-column gives the classical Cayley-Menger matrix, whose rank encodes the
-affine dimension of the generating points. Everything below builds on that
-fact: rank tests, a consistency polynomial for echo profiles, barycentric
-point recovery, and cross-set distance computation that needs only distances
-to a fixed affine basis.
+column gives the classical Cayley-Menger matrix C, whose rank encodes the
+affine dimension of the generating points. Everything else is one linear
+solve against C: for columns delta = (1, d) of squared distances to the
+basis points, delta^T C^{-1} delta holds the squared distances between the
+targets (its vanishing diagonal is the echo test), and rows 1..n+1 of
+C^{-1} delta are their barycentric coordinates (multilateration).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import DegenerateGeometryError, affine_dimension
-
-DEFAULT_RANK_TOL = 1e-6
+from .geometry import (
+    DEFAULT_RANK_TOL,
+    DegenerateGeometryError,
+    _numerical_rank,
+    affine_dimension,
+    pairwise_squared_distances,
+)
 
 
 def validate_distance_matrix(d: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -61,9 +66,26 @@ def bordered_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("bordered_rank expects a square matrix")
-    s = np.linalg.svd(border(m), compute_uv=False)
-    rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-    return rank - 2
+    return _numerical_rank(border(m), tol) - 2
+
+
+def _cm_solve(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """C^{-1} delta for a Cayley-Menger matrix c; singular c is degenerate geometry."""
+    try:
+        return np.linalg.solve(c, delta)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateGeometryError(
+            "Cayley-Menger matrix is singular; basis points do not span the space"
+        ) from exc
+
+
+def _echo_columns(c, xs) -> tuple[np.ndarray, np.ndarray]:
+    """The microphones' 5x5 matrix c and the columns y = (1, x) of the rows of xs."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (5, 5):
+        raise ValueError(f"microphone Cayley-Menger matrix must be 5x5, got {c.shape}")
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    return c, np.vstack([np.ones(len(xs)), xs.T])
 
 
 def cm_polynomial(c: np.ndarray, x) -> float:
@@ -77,52 +99,46 @@ def cm_polynomial(c: np.ndarray, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (4,):
         raise ValueError("cm_polynomial expects exactly four squared distances")
-    return float(cm_polynomial_batch(c, x[None, :])[0])
+    c, y = _echo_columns(c, x)
+    return float(np.linalg.det(np.block([[c, y], [y.T, 0.0]])))
 
 
 def cm_polynomial_batch(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Vectorized cm_polynomial over rows of xs (shape (k, 4))."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (5, 5):
-        raise ValueError(f"microphone Cayley-Menger matrix must be 5x5, got {c.shape}")
-    xs = np.asarray(xs, dtype=float)
-    k = xs.shape[0]
-    full = np.zeros((k, 6, 6))
-    full[:, :5, :5] = c
-    full[:, 0, 5] = 1.0
-    full[:, 5, 0] = 1.0
-    full[:, 1:5, 5] = xs
-    full[:, 5, 1:5] = xs
-    return np.linalg.det(full)
+    """cm_polynomial over the rows of xs (shape (k, 4)), as a quadratic form.
+
+    With y = (1, x), the bordered determinant equals -det(c) * y^T c^{-1} y
+    (Schur complement of c), so one solve against c serves every row.
+    """
+    c, y = _echo_columns(c, xs)
+    return -np.linalg.det(c) * np.einsum("ik,ik->k", y, _cm_solve(c, y))
+
+
+def _cm_polynomial_gradient(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Gradient of cm_polynomial in x at each row of xs: -2 det(c) (c^{-1} y)[1:]."""
+    c, y = _echo_columns(c, xs)
+    return -2.0 * np.linalg.det(c) * _cm_solve(c, y)[1:].T
 
 
 def recover_point(basis: np.ndarray, d) -> np.ndarray:
-    """Coordinates of the point at given squared distances from an affine basis.
+    """Coordinates of points at given squared distances from an affine basis.
 
-    basis holds n+1 points spanning R^n; d their n+1 squared distances to the
-    unknown point. Solves the bordered Gram system for the barycentric
-    coordinates and returns their combination of the basis points.
+    basis holds n+1 points spanning R^n. d holds their n+1 squared distances
+    to one unknown point (shape (n+1,)) or to m points, one per column
+    (shape (n+1, m)). Rows 1..n+1 of C^{-1} (1, d), with C the basis's
+    Cayley-Menger matrix, are barycentric coordinates; the result is their
+    combination of the basis points, of shape (n,) or (n, m).
     """
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     d = np.asarray(d, dtype=float)
     n = basis.shape[1]
     if basis.shape[0] != n + 1:
         raise ValueError(f"need {n + 1} basis points in dimension {n}")
-    if d.shape != (n + 1,):
+    if d.ndim not in (1, 2) or d.shape[0] != n + 1:
         raise ValueError("need one squared distance per basis point")
     if affine_dimension(basis) < n:
         raise DegenerateGeometryError("basis points do not span the space")
-    gram = basis @ basis.T
-    imat = border(gram)
-    rhs = np.empty(n + 2)
-    rhs[0] = 2.0
-    rhs[1:] = np.einsum("ij,ij->i", basis, basis) - d
-    try:
-        sol = np.linalg.solve(imat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateGeometryError("bordered Gram matrix is singular") from exc
-    alpha = 0.5 * sol[1:]
-    return alpha @ basis
+    delta = np.concatenate([np.ones((1,) + d.shape[1:]), d])
+    return basis.T @ _cm_solve(border(pairwise_squared_distances(basis)), delta)[1:]
 
 
 def mutual_distances(c: np.ndarray, delta: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -143,13 +159,7 @@ def mutual_distances(c: np.ndarray, delta: np.ndarray, tol: float = 1e-9) -> np.
         )
     if np.max(np.abs(delta[0] - 1.0), initial=0.0) > tol:
         raise ValueError("first row of delta must be all ones")
-    try:
-        solved = np.linalg.solve(c, delta)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateGeometryError(
-            "Cayley-Menger matrix is singular; basis points do not span the space"
-        ) from exc
-    out = delta.T @ solved
+    out = delta.T @ _cm_solve(c, delta)
     out = 0.5 * (out + out.T)
     # Exact arithmetic yields a zero diagonal and nonnegative entries; the
     # deviations seen here are round-off (or measurement noise) and are

@@ -8,7 +8,7 @@ import io
 import json
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import yaml
@@ -246,6 +246,10 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _sig12_floats(d: dict) -> dict:
+    return {k: (_sig12(v) if isinstance(v, float) else v) for k, v in d.items()}
+
+
 def _fmt(x) -> str:
     return "" if x is None else f"{x:.12g}"
 
@@ -291,20 +295,8 @@ def export(records, metrics: Metrics, path, fmt: str = "csv"):
         payload = buf.getvalue()
     else:
         doc = {
-            "records": [
-                {
-                    k: (_sig12(v) if isinstance(v, float) else v)
-                    for k, v in _record_row(r).items()
-                }
-                for r in records
-            ],
-            "metrics": {
-                "position_rmse": None if metrics.position_rmse is None else _sig12(metrics.position_rmse),
-                "max_position_error": None if metrics.max_position_error is None else _sig12(metrics.max_position_error),
-                "orientation_rmse": None if metrics.orientation_rmse is None else _sig12(metrics.orientation_rmse),
-                "fail_count": metrics.fail_count,
-                "bootstrap_step_index": metrics.bootstrap_step_index,
-            },
+            "records": [_sig12_floats(_record_row(r)) for r in records],
+            "metrics": _sig12_floats(asdict(metrics)),
         }
         payload = json.dumps(doc, indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:

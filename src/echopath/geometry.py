@@ -166,6 +166,14 @@ def mirror_point(w: Wall, speaker) -> np.ndarray:
     return reflect_point(w.plane, speaker)
 
 
+def _numerical_rank(m: np.ndarray, tol: float) -> int:
+    """Number of singular values of m above tol * sigma_max (0 for an empty or zero m)."""
+    s = np.linalg.svd(m, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > tol * s[0]))
+
+
 def affine_dimension(points, tol: float = DEFAULT_RANK_TOL) -> int:
     """Dimension of the affine span of a point set.
 
@@ -174,23 +182,14 @@ def affine_dimension(points, tol: float = DEFAULT_RANK_TOL) -> int:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1:
         raise ValueError("affine_dimension needs at least one point")
-    diffs = pts[1:] - pts[0]
-    if diffs.size == 0:
-        return 0
-    s = np.linalg.svd(diffs, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return _numerical_rank(pts[1:] - pts[0], tol)
 
 
 def linearly_independent_hyperplanes(hs, tol: float = DEFAULT_RANK_TOL) -> bool:
     """True if the hyperplanes' normal vectors are linearly independent."""
     if len(hs) == 0:
         raise ValueError("need at least one hyperplane")
-    normals = np.stack([h.normal for h in hs])
-    s = np.linalg.svd(normals, compute_uv=False)
-    rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-    return rank == len(hs)
+    return _numerical_rank(np.stack([h.normal for h in hs]), tol) == len(hs)
 
 
 def pairwise_squared_distances(points) -> np.ndarray:

@@ -29,10 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cayley_menger import (
+    _cm_polynomial_gradient,
     bordered_rank,
     cm_matrix,
     cm_polynomial_batch,
     mutual_distances,
+    recover_point,
 )
 from .geometry import (
     DegenerateGeometryError,
@@ -122,18 +124,11 @@ class MatchStats:
 def _polynomial_noise_std(c: np.ndarray, grid: np.ndarray, sigma: float) -> np.ndarray:
     """Predicted std of the consistency polynomial under travel-distance noise.
 
-    Linearizes the determinant in each squared distance (finite differences)
-    and propagates independent per-entry noise of std 2*sqrt(x)*sigma.
+    Linearizes the polynomial in each squared distance (analytic gradient)
+    and propagates independent per-entry noise of std 2*sqrt(x)*sigma + sigma^2.
     """
-    base = cm_polynomial_batch(c, grid)
-    var = np.zeros(len(grid))
-    for k in range(4):
-        step = 1e-6 * np.maximum(grid[:, k], 1.0)
-        bumped = grid.copy()
-        bumped[:, k] += step
-        dfdx = (cm_polynomial_batch(c, bumped) - base) / step
-        var += (dfdx * (2.0 * np.sqrt(grid[:, k]) * sigma + sigma**2)) ** 2
-    return np.sqrt(var)
+    entry_std = 2.0 * np.sqrt(grid) * sigma + sigma**2
+    return np.sqrt(np.sum((_cm_polynomial_gradient(c, grid) * entry_std) ** 2, axis=1))
 
 
 def echo_match(
@@ -260,16 +255,6 @@ def match_submatrices(
     return tuple(x - 1 for x in ii[1 : r + 1]), tuple(x - 1 for x in jj[1 : r + 1])
 
 
-def _inverse_transpose_top(points: np.ndarray) -> np.ndarray:
-    """Upper 3x4 block of the inverse transpose of [[p1..p4], [1..1]]."""
-    stacked = np.vstack([points.T, np.ones((1, 4))])
-    try:
-        inv = np.linalg.inv(stacked)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateGeometryError("reference points are coplanar") from exc
-    return inv.T[:3, :]
-
-
 def self_locate(mic_local, b, delta_cols, ortho_tol: float = 1e-6) -> Pose:
     """Pose of the vehicle from four matched reference points.
 
@@ -285,9 +270,7 @@ def self_locate(mic_local, b, delta_cols, ortho_tol: float = 1e-6) -> Pose:
     delta_cols = np.asarray(delta_cols, dtype=float)
     if b.shape != (4, 3) or mic_local.shape != (4, 3) or delta_cols.shape != (4, 4):
         raise ValueError("self_locate expects 4x3 points and a 4x4 distance block")
-    bmat = _inverse_transpose_top(b)
-    g = np.einsum("ij,ij->i", b, b)[:, None] - delta_cols.T  # rows j, cols k
-    mics_world = 0.5 * bmat @ g  # columns are the microphone positions
+    mics_world = recover_point(b, delta_cols.T)  # columns are the microphone positions
     m = np.vstack([mic_local.T, np.ones((1, 4))])
     try:
         av = np.linalg.solve(m.T, mics_world.T).T
@@ -334,8 +317,7 @@ def update_sources(b, delta, registry: SourceRegistry, dedup_eps: float = 1e-3) 
     delta = np.atleast_2d(np.asarray(delta, dtype=float))
     if b.shape != (4, 3) or delta.shape[0] != 4:
         raise ValueError("update_sources expects 4 reference points and 4 x m distances")
-    bmat = _inverse_transpose_top(b)
-    points = 0.5 * bmat @ (np.einsum("ij,ij->i", b, b)[:, None] - delta)
+    points = recover_point(b, delta)
     known = list(registry.sources)
     new = []
     for t in points.T:

@@ -11,7 +11,12 @@ from echopath import (
     pairwise_squared_distances,
     recover_point,
 )
-from echopath.cayley_menger import border, validate_distance_matrix
+from echopath.cayley_menger import (
+    _cm_polynomial_gradient,
+    border,
+    cm_polynomial_batch,
+    validate_distance_matrix,
+)
 
 MICS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
 
@@ -166,6 +171,39 @@ def test_cm_polynomial_invariant_under_joint_relabeling():
         assert val == pytest.approx(base, rel=1e-9)
 
 
+def random_mic_matrix(rng):
+    """Cayley-Menger matrix of four well-spread, non-coplanar random microphones."""
+    while True:
+        mics = rng.uniform(-1, 1, (4, 3))
+        if np.linalg.svd(mics[1:] - mics[0], compute_uv=False)[-1] > 0.2:
+            return cm_matrix(pairwise_squared_distances(mics))
+
+
+def test_cm_polynomial_batch_equals_bordered_determinant():
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        c = random_mic_matrix(rng)
+        xs = rng.uniform(0.1, 12.0, (6, 4))
+        batch = cm_polynomial_batch(c, xs)
+        reference = np.array([cm_polynomial(c, x) for x in xs])
+        assert np.all(np.abs(batch - reference) <= 1e-12 * np.abs(reference))
+
+
+def test_cm_polynomial_gradient_matches_central_difference():
+    rng = np.random.default_rng(48)
+    for _ in range(40):
+        c = random_mic_matrix(rng)
+        xs = rng.uniform(0.1, 12.0, (3, 4))
+        grad = _cm_polynomial_gradient(c, xs)
+        assert grad.shape == xs.shape
+        for x, g in zip(xs, grad):
+            for k in range(4):
+                step = np.zeros(4)
+                step[k] = 1e-3 * x[k]
+                fd = (cm_polynomial(c, x + step) - cm_polynomial(c, x - step)) / (2 * step[k])
+                assert abs(fd - g[k]) <= 1e-5 * np.max(np.abs(g))
+
+
 def test_recover_point_examples():
     w = recover_point(MICS, [29.0, 26.0, 24.0, 22.0])
     assert np.allclose(w, [2.0, 3.0, 4.0], atol=1e-9)
@@ -206,6 +244,23 @@ def test_recover_point_barycentric_weights_sum_to_one():
         # membership in the affine span with weight sum 1 is equivalent to
         # exact recovery here, since the basis spans the whole space
         assert np.allclose(back, w, atol=1e-9)
+
+
+def test_recover_point_batched_equals_column_by_column():
+    rng = np.random.default_rng(49)
+    for dim in (2, 3):
+        while True:
+            basis = rng.uniform(-5, 5, (dim + 1, dim))
+            if np.linalg.svd(basis[1:] - basis[0], compute_uv=False)[-1] > 0.3:
+                break
+        targets = rng.uniform(-8, 8, (6, dim))
+        d2d = np.stack([forward_sq_distances(basis, t) for t in targets], axis=1)
+        batched = recover_point(basis, d2d)
+        assert batched.shape == (dim, 6)
+        for j in range(6):
+            single = recover_point(basis, d2d[:, j])
+            assert np.allclose(batched[:, j], single, rtol=0, atol=1e-12)
+        assert np.allclose(batched.T, targets, atol=1e-9)
 
 
 def test_mutual_distances_single_column():
