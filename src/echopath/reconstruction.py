@@ -24,6 +24,7 @@ leaves the registry untouched.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,6 +132,56 @@ def _polynomial_noise_std(c: np.ndarray, grid: np.ndarray, sigma: float) -> np.n
     return np.sqrt(np.sum((_cm_polynomial_gradient(c, grid) * entry_std) ** 2, axis=1))
 
 
+# Microphone pairs (i, j), i < j, in the order _pair_pruned_grid joins them,
+# and the 16 corners of a 4-d box as low/high choices per axis.
+_MIC_I, _MIC_J = np.triu_indices(4, 1)
+_BOX_CORNERS = np.array(list(itertools.product((False, True), repeat=4)))
+
+
+def _pair_pruned_grid(d_mics, c, sets, root_tol, noise_sigma, noise_margin) -> np.ndarray:
+    """Rows of the product grid of sets that can pass echo_match's test, in order.
+
+    For y = (1, x) write c^{-1} y = (mu, lam) and p = sum lam_i m_i. Then
+    x_i = ||p - m_i||^2 + q/2 with q = -P(x)/det(c). A column passes only if
+    |P(x)| is at most its threshold, and no threshold in the box
+    prod [min S_i, max S_i] exceeds t_max, so every x_i of a passing column
+    lies within kappa = t_max / (2 |det c|) of a true squared distance. For
+    r_i = sqrt(x_i) the triangle inequality of p, m_i and m_j then gives
+    |r_i - r_j| <= ||m_i - m_j|| + kappa (1/r_i + 1/r_j). Each microphone
+    pair prunes its two echo sets with that bound, kappa doubled as round-off
+    headroom; a nonpositive entry bounds nothing and is kept.
+    """
+    # One row per microphone, padded with NaN, which fails every comparison.
+    x = np.full((4, max(len(s) for s in sets)), np.nan)
+    for k, s in enumerate(sets):
+        x[k, : len(s)] = s
+    lo, hi = np.fmin.reduce(x, axis=1), np.fmax.reduce(x, axis=1)
+    x_max = max(float(hi.max()), 0.0)
+    t_max = root_tol * x_max**3
+    if noise_sigma > 0.0:
+        # The noise std is at most the largest entry std times the gradient
+        # norm; the gradient is affine in x, so its norm peaks at a corner.
+        grad = _cm_polynomial_gradient(c, np.where(_BOX_CORNERS, hi, lo))
+        entry_std = 2.0 * np.sqrt(x_max) * noise_sigma + noise_sigma**2
+        t_max += noise_margin * entry_std * np.max(np.linalg.norm(grad, axis=1))
+    kappa = t_max / abs(np.linalg.det(c))  # twice t_max / (2 |det c|)
+
+    r = np.sqrt(np.clip(x, 0.0, None))
+    slack = np.divide(kappa, r, out=np.full_like(r, np.inf), where=x > 0.0)
+    ok = np.abs(r[_MIC_I, :, None] - r[_MIC_J, None, :]) <= (
+        np.sqrt(d_mics[_MIC_I, _MIC_J])[:, None, None]
+        + slack[_MIC_I, :, None]
+        + slack[_MIC_J, None, :]
+    )  # ok[pair, a, b]: entry a of set i and entry b of set j pass
+    ok01, ok02, ok03, ok12, ok13, ok23 = ok
+    # Extend the surviving index pairs (i0, i1) by one microphone at a time.
+    i0, i1 = np.nonzero(ok01)
+    keep, i2 = np.nonzero(ok02[i0] & ok12[i1])
+    i0, i1 = i0[keep], i1[keep]
+    keep, i3 = np.nonzero(ok03[i0] & ok13[i1] & ok23[i2])
+    return np.stack([x[0, i0[keep]], x[1, i1[keep]], x[2, i2[keep]], x[3, i3]], axis=1)
+
+
 def echo_match(
     mics,
     e: EchoSet,
@@ -138,7 +189,7 @@ def echo_match(
     noise_sigma: float = 0.0,
     noise_margin: float = 8.0,
 ) -> EchoAssignment:
-    """Assign echoes to common sources by testing all cross combinations.
+    """Assign echoes to common sources by testing the cross combinations.
 
     A column (d1, d2, d3, d4) from the product of the four echo sets is kept
     when the Cayley-Menger polynomial of the microphones vanishes on it,
@@ -149,6 +200,10 @@ def echo_match(
     survive measurement noise. Combinations that merely come close to
     consistency under noise are kept as well; such ghost columns are expected
     to be discarded later by failing to match known sources.
+
+    Only columns that pass a pairwise triangle bound are tested; the bound
+    holds for every column the test accepts (see _pair_pruned_grid), so the
+    result equals that of testing the full grid.
     """
     mics = np.asarray(mics, dtype=float)
     if affine_dimension(mics) != 3:
@@ -156,8 +211,9 @@ def echo_match(
     sets = [np.asarray(s, dtype=float) for s in e.d_sets]
     if any(s.size == 0 for s in sets):
         return EchoAssignment(np.zeros((4, 0)))
-    grid = np.stack(np.meshgrid(*sets, indexing="ij"), axis=-1).reshape(-1, 4)
-    c = cm_matrix(pairwise_squared_distances(mics))
+    d_mics = pairwise_squared_distances(mics)
+    c = cm_matrix(d_mics)
+    grid = _pair_pruned_grid(d_mics, c, sets, root_tol, noise_sigma, noise_margin)
     vals = cm_polynomial_batch(c, grid)
     threshold = root_tol * np.max(grid, axis=1) ** 3
     if noise_sigma > 0.0:
@@ -317,12 +373,13 @@ def update_sources(b, delta, registry: SourceRegistry, dedup_eps: float = 1e-3) 
     delta = np.atleast_2d(np.asarray(delta, dtype=float))
     if b.shape != (4, 3) or delta.shape[0] != 4:
         raise ValueError("update_sources expects 4 reference points and 4 x m distances")
-    points = recover_point(b, delta)
-    known = list(registry.sources)
+    points = recover_point(b, delta).T
+    known = registry.as_array()
+    gaps = np.linalg.norm(points[:, None, :] - known[None, :, :], axis=2)  # (m, n)
+    far = np.all(gaps > dedup_eps, axis=1)
     new = []
-    for t in points.T:
-        if all(np.linalg.norm(t - s) > dedup_eps for s in known):
-            known.append(t)
+    for t in points[far]:
+        if not new or np.all(np.linalg.norm(np.stack(new) - t, axis=1) > dedup_eps):
             new.append(t)
     registry.sources.extend(new)
     return new

@@ -230,25 +230,23 @@ def _check_f_triples(hs, pair_sq: np.ndarray, threshold: float) -> GenericityRep
 def _check_f_pairs(hs, pair_sq: np.ndarray, threshold: float) -> GenericityReport:
     # 2-d form: the mirror-pair distance of each non-parallel pair must
     # differ from that of every other pair (ordered pairs collapse to sets).
+    # Rows are the non-parallel pairs i < j, columns all pairs i <= j, both
+    # in lexicographic order, so the first hit is the first in scan order.
     k = len(hs)
     normals = np.stack([h.normal for h in hs])
-    indep_pairs = [
-        (i, j)
-        for i, j in itertools.combinations(range(k), 2)
-        if abs(np.linalg.det(normals[[i, j]])) > _GEOM_TOL
-    ]
-    all_pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    pair_vals = np.array([pair_sq[i, j] for i, j in all_pairs])
-    for t in indep_pairs:
-        f_vals = pair_sq[t[0], t[1]] - pair_vals
-        for idx, other in enumerate(all_pairs):
-            if other == t:
-                continue
-            if abs(f_vals[idx]) <= threshold:
-                return GenericityReport(
-                    False, FactorRef("f", (t, other), float(f_vals[idx]))
-                )
-    return GenericityReport(True, None)
+    ti, tj = np.triu_indices(k, 1)
+    indep = np.abs(np.linalg.det(normals[np.stack([ti, tj], axis=1)])) > _GEOM_TOL
+    ti, tj = ti[indep], tj[indep]
+    ai, aj = np.triu_indices(k)
+    f_vals = pair_sq[ti, tj][:, None] - pair_sq[ai, aj][None, :]
+    is_self = (ti[:, None] == ai[None, :]) & (tj[:, None] == aj[None, :])
+    bad = np.argwhere((np.abs(f_vals) <= threshold) & ~is_self)
+    if bad.size == 0:
+        return GenericityReport(True, None)
+    row, col = bad[0]
+    t = (int(ti[row]), int(tj[row]))
+    other = (int(ai[col]), int(aj[col]))
+    return GenericityReport(False, FactorRef("f", (t, other), float(f_vals[row, col])))
 
 
 def dihedral_counterexample(k: int) -> Arrangement:

@@ -204,6 +204,23 @@ def test_cm_polynomial_gradient_matches_central_difference():
                 assert abs(fd - g[k]) <= 1e-5 * np.max(np.abs(g))
 
 
+def test_echo_entries_are_squared_distances_shifted_by_the_polynomial():
+    # For y = (1, x) and (mu, lam) = C^{-1} y, the point p = sum lam_i m_i
+    # satisfies x_i = ||p - m_i||^2 - P(x) / (2 det C) for every microphone.
+    rng = np.random.default_rng(49)
+    for _ in range(40):
+        mics = rng.uniform(-1, 1, (4, 3))
+        if np.linalg.svd(mics[1:] - mics[0], compute_uv=False)[-1] < 0.2:
+            continue
+        c = cm_matrix(pairwise_squared_distances(mics))
+        xs = rng.uniform(0.1, 12.0, (6, 4))
+        lam = np.linalg.solve(c, np.vstack([np.ones(len(xs)), xs.T]))[1:]
+        p = lam.T @ mics  # one point per row of xs
+        shift = cm_polynomial_batch(c, xs) / (2.0 * np.linalg.det(c))
+        rebuilt = np.sum((p[:, None, :] - mics[None, :, :]) ** 2, axis=2) - shift[:, None]
+        assert np.all(np.abs(rebuilt - xs) <= 1e-9 * np.abs(xs))
+
+
 def test_recover_point_examples():
     w = recover_point(MICS, [29.0, 26.0, 24.0, 22.0])
     assert np.allclose(w, [2.0, 3.0, 4.0], atol=1e-9)

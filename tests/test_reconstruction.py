@@ -23,11 +23,13 @@ from echopath import (
     match_submatrices,
     pairwise_squared_distances,
     pose_to_euler,
+    recover_point,
     rotation_from_yaw_pitch_roll,
     self_locate,
     update_sources,
     world_microphones,
 )
+from echopath.cayley_menger import _cm_polynomial_gradient, cm_matrix, cm_polynomial_batch
 from echopath.cli import to_frozen_frame
 
 MICS = tetra_mics()
@@ -115,6 +117,93 @@ def test_echo_match_requires_noncoplanar_mics():
     flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
     with pytest.raises(DegenerateGeometryError):
         echo_match(flat, EchoSet(((1.0,), (1.0,), (1.0,), (1.0,))), 1e-9)
+
+
+def full_grid_echo_match(mics, e, root_tol, noise_sigma=0.0, noise_margin=8.0):
+    """Reference: the echo test on every column of the product grid."""
+    sets = [np.asarray(s, dtype=float) for s in e.d_sets]
+    if any(s.size == 0 for s in sets):
+        return np.zeros((4, 0))
+    grid = np.stack(np.meshgrid(*sets, indexing="ij"), axis=-1).reshape(-1, 4)
+    c = cm_matrix(pairwise_squared_distances(mics))
+    threshold = root_tol * np.max(grid, axis=1) ** 3
+    if noise_sigma > 0.0:
+        entry_std = 2.0 * np.sqrt(grid) * noise_sigma + noise_sigma**2
+        grad = _cm_polynomial_gradient(c, grid)
+        threshold = threshold + noise_margin * np.sqrt(np.sum((grad * entry_std) ** 2, axis=1))
+    cols = grid[np.abs(cm_polynomial_batch(c, grid)) <= threshold]
+    if cols.shape[0] == 0:
+        return np.zeros((4, 0))
+    return np.unique(cols, axis=0).T
+
+
+def random_mics(rng):
+    while True:
+        mics = rng.uniform(-0.5, 0.5, (4, 3))
+        if np.linalg.svd(mics[1:] - mics[0], compute_uv=False)[-1] > 0.1:
+            return mics
+
+
+def noisy_echo_sets(rng, mics, n_sources, n_spurious, sigma):
+    """Squared travel distances of random sources with noise, plus spurious echoes.
+
+    Every other source lies on the line through two microphones, where the
+    triangle inequality of that pair is tight and noise alone breaks it.
+    """
+    sources = rng.uniform(-4.0, 4.0, (n_sources, 3))
+    for s in sources[::2]:
+        i, j = rng.choice(4, 2, replace=False)
+        s[:] = mics[j] + rng.uniform(0.5, 4.0) * (mics[j] - mics[i])
+    dist = np.linalg.norm(sources[:, None, :] - mics[None, :, :], axis=2)
+    dist = dist + sigma * rng.standard_normal(dist.shape)
+    sets = []
+    for k in range(4):
+        spurious = rng.uniform(0.2, 6.0, n_spurious)
+        sets.append(tuple(np.concatenate([dist[:, k], spurious]) ** 2))
+    return EchoSet(tuple(sets))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-4, 1e-3])
+def test_echo_match_equals_full_grid_oracle(sigma):
+    rng = np.random.default_rng(int(sigma * 1e6) + 61)
+    for _ in range(12):
+        mics = random_mics(rng)
+        e = noisy_echo_sets(rng, mics, rng.integers(1, 7), rng.integers(0, 5), sigma)
+        got = echo_match(mics, e, 1e-9, sigma, 8.0).delta
+        want = full_grid_echo_match(mics, e, 1e-9, sigma, 8.0)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_echo_match_equals_full_grid_oracle_when_nothing_passes():
+    rng = np.random.default_rng(62)
+    mics = random_mics(rng)
+    e = EchoSet(tuple(tuple(rng.uniform(1.0, 30.0, 6)) for _ in range(4)))
+    assert full_grid_echo_match(mics, e, 1e-9).shape == (4, 0)
+    assert echo_match(mics, e, 1e-9).delta.shape == (4, 0)
+
+
+def test_echo_match_keeps_a_near_ghost_column_just_inside_root_tol():
+    # Shifting every entry of a true profile by the same delta moves only the
+    # quadratic form (P = -2 delta det C), not the point it describes. A
+    # source on the line through microphones 0 and 1 makes their triangle
+    # tight, and a negative shift pushes sqrt(x0) - sqrt(x1) past the
+    # microphones' distance: only the bound's slack can keep this column.
+    rng = np.random.default_rng(63)
+    root_tol = 1e-6
+    for _ in range(10):
+        mics = random_mics(rng)
+        c = cm_matrix(pairwise_squared_distances(mics))
+        source = mics[1] + rng.uniform(1.0, 3.0) * (mics[1] - mics[0])
+        profile = np.sum((mics - source) ** 2, axis=1)
+        x_max = np.max(profile)
+        for inside, factor in ((True, 0.9), (False, 1.1)):
+            delta = -factor * root_tol * x_max**3 / (2.0 * abs(np.linalg.det(c)))
+            column = profile + delta
+            spurious = rng.uniform(0.5, np.sqrt(x_max), (4, 3)) ** 2
+            e = EchoSet(tuple(tuple(np.append(sp, x)) for sp, x in zip(spurious, column)))
+            got = echo_match(mics, e, root_tol).delta
+            assert np.array_equal(got, full_grid_echo_match(mics, e, root_tol))
+            assert any(np.array_equal(col, column) for col in got.T) == inside
 
 
 def test_detected_distance_matrix_single_source():
@@ -345,6 +434,39 @@ def test_update_sources_first_call_uses_vehicle_frame():
     frozen = (world - pose.v) @ pose.A  # world -> vehicle coordinates
     for s in stored:
         assert min(np.linalg.norm(s - f) for f in frozen) <= 1e-8
+
+
+def test_update_sources_matches_sequential_reference_on_near_duplicates():
+    rng = np.random.default_rng(64)
+    eps = 0.05
+    b = np.vstack([np.zeros(3), np.eye(3)])
+    for _ in range(20):
+        registry = SourceRegistry([rng.uniform(-2, 2, 3) for _ in range(rng.integers(0, 6))])
+        anchors = [*registry.sources, rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)]
+        # Each target lies 0.5 or 1.5 eps from an anchor (a registered source
+        # or a fresh point), so new points nearly duplicate both the
+        # registry and each other.
+        targets = []
+        for _ in range(12):
+            step = rng.standard_normal(3)
+            scale = eps * rng.choice([0.5, 1.5])
+            targets.append(anchors[rng.integers(len(anchors))] + scale * step / np.linalg.norm(step))
+        targets += anchors[-2:]
+        rng.shuffle(targets)
+        delta = np.array([[np.sum((t - p) ** 2) for t in targets] for p in b])
+
+        known = list(registry.sources)
+        expected = []
+        for t in recover_point(b, delta).T:
+            if all(np.linalg.norm(t - s) > eps for s in known):
+                known.append(t)
+                expected.append(t)
+        before = len(registry)
+        added = update_sources(b, delta, registry, eps)
+        assert len(added) == len(expected)
+        assert all(np.array_equal(a, w) for a, w in zip(added, expected))
+        assert len(registry) == before + len(expected)
+        assert all(np.array_equal(a, s) for a, s in zip(added, registry.sources[before:]))
 
 
 def test_locate_step_three_sources_fail_coplanar():

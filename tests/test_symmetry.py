@@ -15,6 +15,7 @@ from echopath import (
     pairwise_squared_distances,
     reflect_point,
 )
+from echopath.symmetry import _check_f_pairs
 
 X0 = Hyperplane([1, 0], 0.0)
 X16 = Hyperplane([1, 0], 16.0)
@@ -235,3 +236,58 @@ def test_arrangement_rejects_duplicate_planes():
 def test_arrangement_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         Arrangement((X0, Hyperplane([1, 0, 0], 1.0)), 2)
+
+
+def loop_check_f_pairs(hs, pair_sq, threshold):
+    """Reference: the f-factor scan over pairs as an explicit double loop."""
+    k = len(hs)
+    normals = np.stack([h.normal for h in hs])
+    indep_pairs = [
+        (i, j)
+        for i, j in itertools.combinations(range(k), 2)
+        if abs(np.linalg.det(normals[[i, j]])) > 1e-9
+    ]
+    all_pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    for t in indep_pairs:
+        for other in all_pairs:
+            f = pair_sq[t[0], t[1]] - pair_sq[other[0], other[1]]
+            if other != t and abs(f) <= threshold:
+                return (t, other), f
+    return None
+
+
+def f_pairs_outcome(hs, pair_sq, threshold):
+    report = _check_f_pairs(hs, pair_sq, threshold)
+    if report.passed:
+        return None
+    assert report.failed_factor.kind == "f"
+    return report.failed_factor.planes, report.failed_factor.value
+
+
+def test_check_f_pairs_matches_loop_reference_on_random_arrangements():
+    rng = np.random.default_rng(10)
+    for _ in range(60):
+        k = int(rng.integers(2, 8))
+        angles = rng.uniform(0, np.pi, k)
+        angles[rng.integers(k)] = angles[0]  # sometimes a parallel pair
+        hs = [Hyperplane([np.cos(a), np.sin(a)], rng.uniform(-5, 5)) for a in angles]
+        pair_sq = pairwise_squared_distances(rng.uniform(-5, 5, (k, 2)))
+        # Thresholds from none to many hits exercise the scan order.
+        diffs = np.abs(pair_sq[:, :, None, None] - pair_sq[None, None, :, :])
+        for threshold in (0.0, *np.quantile(diffs[diffs > 0], [0.01, 0.2, 0.9])):
+            assert f_pairs_outcome(hs, pair_sq, threshold) == loop_check_f_pairs(
+                hs, pair_sq, threshold
+            )
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_check_f_pairs_matches_loop_reference_on_dihedral_counterexample(k):
+    hs = dihedral_counterexample(k).hyperplanes
+    rng = np.random.default_rng(k)
+    for _ in range(10):
+        v = rng.uniform(-5, 5, 2)
+        pair_sq = pairwise_squared_distances(np.stack([reflect_point(h, v) for h in hs]))
+        threshold = 1e-9 * float(np.max(pair_sq))
+        expected = loop_check_f_pairs(hs, pair_sq, threshold)
+        assert expected is not None
+        assert f_pairs_outcome(hs, pair_sq, threshold) == expected
