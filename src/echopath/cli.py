@@ -173,7 +173,12 @@ def default_config(scenario: Scenario) -> ReconstructionConfig:
 
 
 def _rotation_angle(r: np.ndarray) -> float:
-    return float(np.arccos(np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)))
+    # atan2 of the angle's sine (from the skew part) and cosine (from the
+    # trace): arccos of the trace alone turns a round-off deficit d in the
+    # trace into an angle of about sqrt(d).
+    skew = r - r.T
+    sine = np.linalg.norm((skew[2, 1], skew[0, 2], skew[1, 0])) / 2.0
+    return float(np.arctan2(sine, (np.trace(r) - 1.0) / 2.0))
 
 
 def to_frozen_frame(bootstrap: Pose, pose: Pose) -> Pose:

@@ -53,9 +53,11 @@ class PoseInconsistencyError(RuntimeError):
 class ReconstructionConfig:
     """Numerical thresholds for one reconstruction pipeline.
 
-    With noise_sigma > 0 the echo-root and matching tolerances are widened
-    per step based on the observed distances; the configured values act as
-    floors.
+    With noise_sigma > 0 only the echo-root test is widened, per grid column,
+    by noise_margin times the predicted noise std of its polynomial (see
+    echo_match); root_tol stays the floor. Every other threshold, eq_tol and
+    rank_tol included, is used as given: cli.default_config derives them
+    from the scenario's noise level.
     """
 
     root_tol: float = 1e-9
@@ -116,7 +118,14 @@ class LocateResult:
 
 @dataclass
 class MatchStats:
-    """Operation counts of one submatrix search (for complexity experiments)."""
+    """Operation counts of one submatrix search (for complexity experiments).
+
+    comparisons counts matrix entries compared, m * n for each vectorized
+    test of an (m, n) candidate mask: one test of the diagonals and one for
+    each pair the search tries. rank_checks counts bordered-rank
+    computations, one per distinct row prefix i_1..i_k that reached a
+    candidate column.
+    """
 
     comparisons: int = 0
     rank_checks: int = 0
@@ -253,10 +262,14 @@ def match_submatrices(
     Searches for strictly increasing i_1..i_r and pairwise distinct j_1..j_r
     such that a[i.,i.] equals b[j.,j.] entrywise within eq_tol and the
     selected a-submatrix has bordered rank r-1 (for distance matrices: the
-    selected points span a full simplex). The backtracking explores candidate
-    tuples in lexicographic order of (i1, j1, i2, j2, ...), so the returned
-    solution is the lexicographically least one; None means no solution
-    exists. Indices are 0-based.
+    selected points span a full simplex). The depth-first search explores
+    candidate tuples in lexicographic order of (i1, j1, i2, j2, ...), so the
+    returned solution is the lexicographically least one; None means no
+    solution exists. Indices are 0-based.
+
+    Each search node holds a boolean mask over (a-row, b-row) pairs that
+    agree with every pair chosen so far; choosing a pair narrows it with one
+    vectorized comparison (see _extend_match).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -265,50 +278,49 @@ def match_submatrices(
         raise ValueError("match_submatrices expects square matrices")
     if not 1 <= r <= min(m, n):
         raise ValueError(f"r must be between 1 and min(m, n) = {min(m, n)}")
+    mask = abs(a.diagonal()[:, None] - b.diagonal()) <= eq_tol
+    if stats is not None:
+        stats.comparisons += mask.size
+    return _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, (), (), {})
 
-    # State uses 1-based index tuples i[1..k], j[1..k]; slot r+1 exists so the
-    # final successful extension has somewhere to write.
-    ii = [0] * (r + 2)
-    jj = [0] * (r + 2)
-    ii[1] = jj[1] = 1
-    k = 1
-    rank_cache: dict[tuple, int] = {}
 
-    def conditions_hold() -> bool:
-        jk = jj[k]
-        if jk == n + 1 or jk in jj[1:k]:
-            return False
-        ik = ii[k]
-        for nu in range(1, k + 1):
-            if stats is not None:
-                stats.comparisons += 1
-            if abs(a[ik - 1, ii[nu] - 1] - b[jk - 1, jj[nu] - 1]) > eq_tol:
-                return False
-        sel = tuple(x - 1 for x in ii[1 : k + 1])
+def _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, ii, jj, rank_cache):
+    """Least completion of the chosen pairs (ii, jj) to r pairs, or None.
+
+    mask[i, j] holds when pairing a-row i with b-row j agrees within eq_tol
+    on the diagonal and with every chosen pair, and j is not chosen yet. The
+    next pair takes rows i > ii[-1] that leave enough rows for the remaining
+    pairs, each with its columns in increasing order. This is a module-level
+    function, not a nested closure, so no reference cycle keeps a and b alive
+    after the search returns.
+    """
+    k = len(ii)
+    lo = ii[-1] + 1 if ii else 0
+    rows = mask[lo : a.shape[0] - r + k + 1].any(axis=1).nonzero()[0] + lo
+    for i in rows.tolist():
+        sel = (*ii, i)
         rank = rank_cache.get(sel)
         if rank is None:
-            rank = bordered_rank(a[np.ix_(sel, sel)], rank_tol)
-            rank_cache[sel] = rank
+            rank = rank_cache[sel] = bordered_rank(a[np.ix_(sel, sel)], rank_tol)
             if stats is not None:
                 stats.rank_checks += 1
-        return rank == k - 1
-
-    while k <= r:
-        if conditions_hold():
-            ii[k + 1] = ii[k] + 1
-            jj[k + 1] = 1
-            k += 1
-        elif jj[k] < n:
-            jj[k] += 1
-        elif ii[k] < m - r + k:
-            ii[k] += 1
-            jj[k] = 1
-        elif k > 1:
-            jj[k - 1] += 1
-            k -= 1
-        else:
-            return None
-    return tuple(x - 1 for x in ii[1 : r + 1]), tuple(x - 1 for x in jj[1 : r + 1])
+        if rank != k:
+            continue
+        cols = mask[i].nonzero()[0].tolist()
+        if k + 1 == r:
+            return sel, (*jj, cols[0])
+        for j in cols:
+            # A later pair (row, col) must match a[row, i] with b[col, j].
+            narrowed = mask & (abs(a[:, i, None] - b[:, j]) <= eq_tol)
+            narrowed[:, j] = False
+            if stats is not None:
+                stats.comparisons += narrowed.size
+            found = _extend_match(
+                a, b, r, eq_tol, rank_tol, stats, narrowed, sel, (*jj, j), rank_cache
+            )
+            if found is not None:
+                return found
+    return None
 
 
 def self_locate(mic_local, b, delta_cols, ortho_tol: float = 1e-6) -> Pose:
@@ -411,12 +423,13 @@ def locate_step(
             new = update_sources(mic_local, assignment.delta, state, cfg.dedup_eps)
             state.frame_frozen = True
             return LocateResult("success", pose=None, new_sources=tuple(new))
-        d_known = pairwise_squared_distances(state.as_array())
+        known = state.as_array()
+        d_known = pairwise_squared_distances(known)
         found = match_submatrices(d_detected, d_known, 4, cfg.eq_tol, cfg.rank_tol)
         if found is None:
             return LocateResult("fail", fail_reason="no_match")
         i_idx, j_idx = found
-        refs = state.as_array()[list(j_idx)]
+        refs = known[list(j_idx)]
         pose = self_locate(mic_local, refs, assignment.delta[:, list(i_idx)], cfg.ortho_tol)
         new = update_sources(refs, d_detected[list(i_idx), :], state, cfg.dedup_eps)
         return LocateResult("success", pose=pose, new_sources=tuple(new))

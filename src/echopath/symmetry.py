@@ -213,9 +213,10 @@ def _check_f_triples(hs, pair_sq: np.ndarray, threshold: float) -> GenericityRep
         diffs = pair_vec[rows][:, None, :] - pair_vec[None, :, :]
         f_vals = np.sum(diffs**2, axis=2)  # (chunk, s)
         f_vals[np.arange(rows.size), rows] = np.inf  # each tuple vs itself
-        flat = int(np.argmin(f_vals))
-        ti, oj = divmod(flat, s)
-        if np.sqrt(f_vals[ti, oj]) <= threshold:
+        if np.sqrt(f_vals.min()) <= threshold:
+            # Rows and columns are in scan order, so the first hit in
+            # row-major order is the first vanishing factor.
+            ti, oj = divmod(int(np.argmax(np.sqrt(f_vals) <= threshold)), s)
             return GenericityReport(
                 False,
                 FactorRef(

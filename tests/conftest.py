@@ -6,6 +6,7 @@ import pytest
 
 from echopath import (
     Hyperplane,
+    MatchStats,
     Pose,
     Scenario,
     Wall,
@@ -97,6 +98,79 @@ def brute_force_match(a, b, r, eq_tol=1e-6, rank_tol=1e-6):
 
     best = min(hits, key=interleaved)
     return tuple(i_tuples[best[0]]), tuple(j_tuples[best[1]])
+
+
+# Reference: the scalar backtracking search that match_submatrices replaced,
+# kept as it was; it does one Python comparison per matrix entry.
+def backtracking_match(
+    a,
+    b,
+    r: int,
+    eq_tol: float = 1e-6,
+    rank_tol: float = 1e-6,
+    stats: MatchStats | None = None,
+):
+    """Find index tuples with equal principal submatrices in two symmetric matrices.
+
+    Searches for strictly increasing i_1..i_r and pairwise distinct j_1..j_r
+    such that a[i.,i.] equals b[j.,j.] entrywise within eq_tol and the
+    selected a-submatrix has bordered rank r-1 (for distance matrices: the
+    selected points span a full simplex). The backtracking explores candidate
+    tuples in lexicographic order of (i1, j1, i2, j2, ...), so the returned
+    solution is the lexicographically least one; None means no solution
+    exists. Indices are 0-based.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape[0], b.shape[0]
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise ValueError("match_submatrices expects square matrices")
+    if not 1 <= r <= min(m, n):
+        raise ValueError(f"r must be between 1 and min(m, n) = {min(m, n)}")
+
+    # State uses 1-based index tuples i[1..k], j[1..k]; slot r+1 exists so the
+    # final successful extension has somewhere to write.
+    ii = [0] * (r + 2)
+    jj = [0] * (r + 2)
+    ii[1] = jj[1] = 1
+    k = 1
+    rank_cache: dict[tuple, int] = {}
+
+    def conditions_hold() -> bool:
+        jk = jj[k]
+        if jk == n + 1 or jk in jj[1:k]:
+            return False
+        ik = ii[k]
+        for nu in range(1, k + 1):
+            if stats is not None:
+                stats.comparisons += 1
+            if abs(a[ik - 1, ii[nu] - 1] - b[jk - 1, jj[nu] - 1]) > eq_tol:
+                return False
+        sel = tuple(x - 1 for x in ii[1 : k + 1])
+        rank = rank_cache.get(sel)
+        if rank is None:
+            rank = bordered_rank(a[np.ix_(sel, sel)], rank_tol)
+            rank_cache[sel] = rank
+            if stats is not None:
+                stats.rank_checks += 1
+        return rank == k - 1
+
+    while k <= r:
+        if conditions_hold():
+            ii[k + 1] = ii[k] + 1
+            jj[k + 1] = 1
+            k += 1
+        elif jj[k] < n:
+            jj[k] += 1
+        elif ii[k] < m - r + k:
+            ii[k] += 1
+            jj[k] = 1
+        elif k > 1:
+            jj[k - 1] += 1
+            k -= 1
+        else:
+            return None
+    return tuple(x - 1 for x in ii[1 : r + 1]), tuple(x - 1 for x in jj[1 : r + 1])
 
 
 @pytest.fixture

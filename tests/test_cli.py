@@ -5,7 +5,7 @@ import pytest
 from conftest import box_scenario, tetra_mics
 
 from echopath import ScenarioError, export, load_scenario, run
-from echopath.cli import main, to_frozen_frame
+from echopath.cli import _rotation_angle, main, to_frozen_frame
 from echopath.simulator import Pose, Scenario
 from echopath.geometry import Hyperplane, Wall
 
@@ -112,6 +112,31 @@ def test_frozen_frame_composes_back_to_world_truth(scenario_dir):
         world = scn.path[r.step_index]
         assert np.allclose(bootstrap.A @ r.est_pose.v + bootstrap.v, world.v, atol=1e-6)
         assert np.allclose(bootstrap.A @ r.est_pose.A, world.A, atol=1e-6)
+
+
+def axis_angle_rotation(axis, angle: float) -> np.ndarray:
+    u = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    k = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def test_rotation_angle_of_near_identity_is_round_off_sized():
+    # Trace deficit and orthogonality defect both about 1e-12: arccos of the
+    # trace alone would report about 1e-6 rad.
+    r = np.diag([1.0 - 5e-13, 1.0 - 5e-13, 1.0])
+    r[0, 1] += 1e-14
+    assert np.trace(r) - 3.0 == pytest.approx(-1e-12, rel=1e-3)
+    assert np.max(np.abs(r.T @ r - np.eye(3))) == pytest.approx(1e-12, rel=1e-2)
+    assert _rotation_angle(r) < 1e-9
+
+
+@pytest.mark.parametrize("angle", [0.0, 1e-8, 0.3, 1.0, 2.0, 3.0, np.pi - 1e-6, np.pi])
+def test_rotation_angle_of_known_rotations(angle):
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        r = axis_angle_rotation(rng.normal(size=3), angle)
+        assert _rotation_angle(r) == pytest.approx(angle, abs=1e-12)
+        assert _rotation_angle(r.T) == pytest.approx(angle, abs=1e-12)
 
 
 def test_first_pose_deficient_bootstraps_later():

@@ -1,8 +1,17 @@
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
-from conftest import box_scenario, box_walls, brute_force_match, demo_path, tetra_mics
+from conftest import (
+    backtracking_match,
+    box_scenario,
+    box_walls,
+    brute_force_match,
+    demo_path,
+    tetra_mics,
+)
 
 from echopath import (
     DegenerateGeometryError,
@@ -321,12 +330,84 @@ def test_match_submatrices_counts_comparisons():
     assert stats.rank_checks > 0
 
 
+def test_match_submatrices_counts_one_mask_per_tried_pair():
+    # The root mask and the masks narrowed by (0, 0), (1, 1) and (2, 2) are
+    # 4 x 4 each; the last pair needs no mask. One rank check per prefix.
+    d = pairwise_squared_distances(np.vstack([np.zeros(3), np.eye(3)]))
+    stats = MatchStats()
+    assert match_submatrices(d, d, 4, stats=stats) == ((0, 1, 2, 3), (0, 1, 2, 3))
+    assert stats == MatchStats(comparisons=4 * 16, rank_checks=4)
+
+
 def test_match_submatrices_argument_validation():
     d = np.zeros((3, 3))
     with pytest.raises(ValueError):
         match_submatrices(d, d, 0)
     with pytest.raises(ValueError):
         match_submatrices(d, d, 4)
+
+
+def search_instance(rng, r, eq_tol, lattice, planted):
+    """Distance matrices too large for brute force, with or without a planted match.
+
+    Lattice points give many tied distances; the a-matrix is perturbed by up
+    to eq_tol, so some entries sit near the tolerance.
+    """
+    m = int(rng.integers(r, 31))
+    n = int(rng.integers(r, 151))
+
+    def draw(k):
+        return rng.integers(0, 3, (k, 3)).astype(float) if lattice else rng.uniform(-3, 3, (k, 3))
+
+    pts_a, pts_b = draw(m), draw(n)
+    if planted:
+        k = min(m, n, r + 2)
+        rot = rotation_from_yaw_pitch_roll(*rng.uniform(-2, 2, 3))
+        pts_a[rng.choice(m, k, replace=False)] = pts_b[rng.choice(n, k, replace=False)] @ rot.T
+    noise = rng.uniform(-eq_tol, eq_tol, (m, m))
+    a = pairwise_squared_distances(pts_a) + (noise + noise.T) / 2.0
+    np.fill_diagonal(a, 0.0)
+    return a, pairwise_squared_distances(pts_b)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("eq_tol", [1e-6, 1e-3, 5e-2])
+def test_match_submatrices_equals_backtracking_on_large_instances(r, eq_tol):
+    rng = np.random.default_rng([r, int(1e6 * eq_tol)])
+    for trial in range(6):
+        lattice, planted = trial % 2 == 0, trial % 3 != 2
+        a, b = search_instance(rng, r, eq_tol, lattice, planted)
+        assert match_submatrices(a, b, r, eq_tol) == backtracking_match(a, b, r, eq_tol)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_match_submatrices_equals_backtracking_with_nonzero_diagonal(r):
+    # Symmetric matrices of small integers: the diagonal takes part in the
+    # match, many entries tie, and some selected blocks are rank deficient.
+    rng = np.random.default_rng(40 + r)
+    for _ in range(10):
+        m, n = int(rng.integers(r, 13)), int(rng.integers(r, 41))
+        a = rng.integers(0, 4, (m, m)).astype(float)
+        b = rng.integers(0, 4, (n, n)).astype(float)
+        a, b = np.triu(a) + np.triu(a, 1).T, np.triu(b) + np.triu(b, 1).T
+        assert match_submatrices(a, b, r) == backtracking_match(a, b, r)
+        assert match_submatrices(a, b, r, 1.0) == backtracking_match(a, b, r, 1.0)
+
+
+def test_match_submatrices_releases_its_arguments():
+    # With the cyclic collector off, a reference cycle inside the search
+    # would keep b alive after the call returns.
+    rng = np.random.default_rng(8)
+    a = pairwise_squared_distances(rng.uniform(-3, 3, (10, 3)))
+    b = pairwise_squared_distances(rng.uniform(-3, 3, (30, 3)))
+    gc.disable()
+    try:
+        ref = weakref.ref(b)
+        match_submatrices(a, b, 4)
+        del b
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_self_locate_identity_pose():

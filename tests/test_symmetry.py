@@ -15,7 +15,7 @@ from echopath import (
     pairwise_squared_distances,
     reflect_point,
 )
-from echopath.symmetry import _check_f_pairs
+from echopath.symmetry import _check_f_pairs, _check_f_triples
 
 X0 = Hyperplane([1, 0], 0.0)
 X16 = Hyperplane([1, 0], 16.0)
@@ -291,3 +291,43 @@ def test_check_f_pairs_matches_loop_reference_on_dihedral_counterexample(k):
         expected = loop_check_f_pairs(hs, pair_sq, threshold)
         assert expected is not None
         assert f_pairs_outcome(hs, pair_sq, threshold) == expected
+
+
+def loop_check_f_triples(hs, pair_sq, threshold):
+    """Reference: the f-factor scan over ordered triples as an explicit double loop."""
+    normals = np.stack([h.normal for h in hs])
+    triples = list(itertools.product(range(len(hs)), repeat=3))
+    for t in triples:
+        if abs(np.linalg.det(normals[list(t)])) <= 1e-9:
+            continue
+        for other in triples:
+            f = sum(
+                (pair_sq[t[x], t[y]] - pair_sq[other[x], other[y]]) ** 2
+                for x, y in ((0, 1), (0, 2), (1, 2))
+            )
+            if other != t and np.sqrt(f) <= threshold:
+                return (t, other), f
+    return None
+
+
+def test_check_f_triples_matches_loop_reference_on_random_arrangements():
+    rng = np.random.default_rng(12)
+    for _ in range(12):
+        k = int(rng.integers(3, 7))
+        normals = rng.normal(size=(k, 3))
+        normals[rng.integers(k)] = normals[0]  # sometimes two parallel walls
+        hs = [Hyperplane(nv / np.linalg.norm(nv), rng.uniform(-3, 3)) for nv in normals]
+        v = rng.uniform(-1, 1, 3)
+        pair_sq = pairwise_squared_distances(np.stack([reflect_point(h, v) for h in hs]))
+        # Thresholds from none to many hits exercise the scan order.
+        vec = pair_sq[np.triu_indices(k, 1)]
+        gaps = np.abs(vec[:, None] - vec[None, :])
+        for threshold in (0.0, *np.quantile(gaps[gaps > 0], [0.01, 0.2, 0.9])):
+            report = _check_f_triples(hs, pair_sq, threshold)
+            expected = loop_check_f_triples(hs, pair_sq, threshold)
+            if expected is None:
+                assert report.passed
+            else:
+                assert report.failed_factor.kind == "f"
+                assert report.failed_factor.planes == expected[0]
+                assert report.failed_factor.value == pytest.approx(expected[1], rel=1e-12)
