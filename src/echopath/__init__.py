@@ -28,7 +28,6 @@ from .reconstruction import (
     LocateResult,
     MatchStats,
     PoseInconsistencyError,
-    ReconstructionConfig,
     SourceRegistry,
     detected_distance_matrix,
     echo_match,
@@ -75,7 +74,6 @@ __all__ = [
     "Metrics",
     "Pose",
     "PoseInconsistencyError",
-    "ReconstructionConfig",
     "RunRecord",
     "Scenario",
     "ScenarioError",

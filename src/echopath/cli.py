@@ -14,12 +14,7 @@ import numpy as np
 import yaml
 
 from .geometry import Hyperplane, Wall
-from .reconstruction import (
-    ReconstructionConfig,
-    SourceRegistry,
-    locate_step,
-    pose_to_euler,
-)
+from .reconstruction import SourceRegistry, locate_step, pose_to_euler
 from .simulator import (
     Pose,
     Scenario,
@@ -152,26 +147,6 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def default_config(scenario: Scenario) -> ReconstructionConfig:
-    """Reconstruction thresholds matched to the scenario's noise level.
-
-    The noisy settings are calibrated for meter-scale rooms: matching and
-    rank tolerances wide enough for noise-perturbed source geometry, the
-    dedup radius above the per-source position scatter, and a loose
-    orthogonality gate that still rejects false matches.
-    """
-    sigma = scenario.noise_sigma
-    if sigma <= 0.0:
-        return ReconstructionConfig()
-    return ReconstructionConfig(
-        eq_tol=max(1e-6, 1000.0 * sigma),
-        rank_tol=1e-3,
-        dedup_eps=max(1e-3, 100.0 * sigma),
-        ortho_tol=0.25,
-        noise_sigma=sigma,
-    )
-
-
 def _rotation_angle(r: np.ndarray) -> float:
     # atan2 of the angle's sine (from the skew part) and cosine (from the
     # trace): arccos of the trace alone turns a round-off deficit d in the
@@ -186,7 +161,7 @@ def to_frozen_frame(bootstrap: Pose, pose: Pose) -> Pose:
     return Pose(bootstrap.A.T @ (pose.v - bootstrap.v), bootstrap.A.T @ pose.A)
 
 
-def run(scenario: Scenario, cfg: ReconstructionConfig | None = None):
+def run(scenario: Scenario):
     """Simulate and reconstruct every pose of the scenario path.
 
     Per-step failures are recorded and the run continues with the registry
@@ -195,7 +170,6 @@ def run(scenario: Scenario, cfg: ReconstructionConfig | None = None):
     """
     if scenario.dimension != 3 or scenario.mic_local is None or not scenario.path:
         raise ScenarioError("run requires a 3-d scenario with microphones and a path")
-    cfg = cfg if cfg is not None else default_config(scenario)
     registry = SourceRegistry()
     records: list[RunRecord] = []
     bootstrap_pose: Pose | None = None
@@ -204,7 +178,7 @@ def run(scenario: Scenario, cfg: ReconstructionConfig | None = None):
     for idx, pose in enumerate(scenario.path):
         echoes = generate_echoes(scenario, pose, idx)
         n_known = len(registry)
-        result = locate_step(registry, scenario.mic_local, echoes, cfg)
+        result = locate_step(registry, scenario.mic_local, echoes, scenario.noise_sigma)
         n_new = len(result.new_sources) if result.new_sources is not None else 0
         if result.status == "fail":
             records.append(
@@ -354,13 +328,16 @@ def _cmd_genericity(args) -> int:
     if speaker is None:
         print("no speaker position given (use --speaker)", file=sys.stderr)
         return 1
+    if args.speaker is None and scenario.speaker_on_vehicle:
+        print("the scenario's speaker rides on the vehicle (use --speaker)", file=sys.stderr)
+        return 1
     try:
         report = genericity_check(arrangement, speaker, tol=args.tol)
     except ConcurrentLinesError as exc:
         print(f"arrangement rejected: {exc}", file=sys.stderr)
         return 1
     if report.passed:
-        print(f"passed: speaker {list(np.asarray(speaker))} breaks all wall symmetries")
+        print(f"passed: speaker {np.asarray(speaker).tolist()} breaks all wall symmetries")
     else:
         print(f"failed: factor {report.failed_factor} vanishes")
     return 0

@@ -49,32 +49,16 @@ class PoseInconsistencyError(RuntimeError):
     """Recovered orientation is far from orthogonal (bad match or noise overload)."""
 
 
-@dataclass(frozen=True)
-class ReconstructionConfig:
-    """Numerical thresholds for one reconstruction pipeline.
-
-    With noise_sigma > 0 only the echo-root test is widened, per grid column,
-    by noise_margin times the predicted noise std of its polynomial (see
-    echo_match); root_tol stays the floor. Every other threshold, eq_tol and
-    rank_tol included, is used as given: cli.default_config derives them
-    from the scenario's noise level.
-    """
-
-    root_tol: float = 1e-9
-    eq_tol: float = 1e-6
-    rank_tol: float = 1e-6
-    dedup_eps: float = 1e-3
-    ortho_tol: float = 1e-6
-    noise_sigma: float = 0.0
-    noise_margin: float = 8.0
-
-
 @dataclass(eq=False)
 class SourceRegistry:
     """Known sound-source positions, all in the frozen coordinate frame."""
 
     sources: list = field(default_factory=list)
-    frame_frozen: bool = False
+
+    @property
+    def frame_frozen(self) -> bool:
+        """True once bootstrap has stored the sources that fix the frame."""
+        return bool(self.sources)
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -141,13 +125,16 @@ def _polynomial_noise_std(c: np.ndarray, grid: np.ndarray, sigma: float) -> np.n
     return np.sqrt(np.sum((_cm_polynomial_gradient(c, grid) * entry_std) ** 2, axis=1))
 
 
+# Under noise the echo-root test is widened by this many predicted noise stds.
+_NOISE_MARGIN = 8.0
+
 # Microphone pairs (i, j), i < j, in the order _pair_pruned_grid joins them,
 # and the 16 corners of a 4-d box as low/high choices per axis.
 _MIC_I, _MIC_J = np.triu_indices(4, 1)
 _BOX_CORNERS = np.array(list(itertools.product((False, True), repeat=4)))
 
 
-def _pair_pruned_grid(d_mics, c, sets, root_tol, noise_sigma, noise_margin) -> np.ndarray:
+def _pair_pruned_grid(d_mics, c, sets, root_tol, noise_sigma) -> np.ndarray:
     """Rows of the product grid of sets that can pass echo_match's test, in order.
 
     For y = (1, x) write c^{-1} y = (mu, lam) and p = sum lam_i m_i. Then
@@ -172,7 +159,7 @@ def _pair_pruned_grid(d_mics, c, sets, root_tol, noise_sigma, noise_margin) -> n
         # norm; the gradient is affine in x, so its norm peaks at a corner.
         grad = _cm_polynomial_gradient(c, np.where(_BOX_CORNERS, hi, lo))
         entry_std = 2.0 * np.sqrt(x_max) * noise_sigma + noise_sigma**2
-        t_max += noise_margin * entry_std * np.max(np.linalg.norm(grad, axis=1))
+        t_max += _NOISE_MARGIN * entry_std * np.max(np.linalg.norm(grad, axis=1))
     kappa = t_max / abs(np.linalg.det(c))  # twice t_max / (2 |det c|)
 
     r = np.sqrt(np.clip(x, 0.0, None))
@@ -196,7 +183,6 @@ def echo_match(
     e: EchoSet,
     root_tol: float = 1e-9,
     noise_sigma: float = 0.0,
-    noise_margin: float = 8.0,
 ) -> EchoAssignment:
     """Assign echoes to common sources by testing the cross combinations.
 
@@ -205,7 +191,7 @@ def echo_match(
     relative to root_tol times (max d_i)^3. Duplicate columns are merged.
 
     With noise_sigma > 0 the root test is additionally widened per tuple by
-    noise_margin times the polynomial's predicted noise std, so true columns
+    eight times the polynomial's predicted noise std, so true columns
     survive measurement noise. Combinations that merely come close to
     consistency under noise are kept as well; such ghost columns are expected
     to be discarded later by failing to match known sources.
@@ -222,11 +208,11 @@ def echo_match(
         return EchoAssignment(np.zeros((4, 0)))
     d_mics = pairwise_squared_distances(mics)
     c = cm_matrix(d_mics)
-    grid = _pair_pruned_grid(d_mics, c, sets, root_tol, noise_sigma, noise_margin)
+    grid = _pair_pruned_grid(d_mics, c, sets, root_tol, noise_sigma)
     vals = cm_polynomial_batch(c, grid)
     threshold = root_tol * np.max(grid, axis=1) ** 3
     if noise_sigma > 0.0:
-        threshold = threshold + noise_margin * _polynomial_noise_std(c, grid, noise_sigma)
+        threshold = threshold + _NOISE_MARGIN * _polynomial_noise_std(c, grid, noise_sigma)
     cols = grid[np.abs(vals) <= threshold]
     if cols.shape[0] == 0:
         return EchoAssignment(np.zeros((4, 0)))
@@ -273,9 +259,9 @@ def match_submatrices(
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    m, n = a.shape[0], b.shape[0]
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("match_submatrices expects square matrices")
+    m, n = a.shape[0], b.shape[0]
     if not 1 <= r <= min(m, n):
         raise ValueError(f"r must be between 1 and min(m, n) = {min(m, n)}")
     mask = abs(a.diagonal()[:, None] - b.diagonal()) <= eq_tol
@@ -401,7 +387,7 @@ def locate_step(
     state: SourceRegistry,
     mic_local,
     e: EchoSet,
-    cfg: ReconstructionConfig | None = None,
+    noise_sigma: float = 0.0,
 ) -> LocateResult:
     """Run one full locate step against the registry (which it may extend).
 
@@ -409,29 +395,40 @@ def locate_step(
     registry in the vehicle frame of that moment and returns success without
     a pose; later calls return the pose in that frozen frame. On failure the
     registry is left exactly as it was.
+
+    Every threshold follows from noise_sigma, the std of the travel-distance
+    noise. At zero they are tight enough for exact arithmetic. Under noise
+    they are calibrated for meter-scale rooms: the echo-root test is widened
+    per column (see echo_match), matching and rank tolerances are wide enough
+    for noise-perturbed source geometry, the dedup radius lies above the
+    per-source position scatter, and a loose orthogonality gate still rejects
+    false matches.
     """
-    cfg = cfg if cfg is not None else ReconstructionConfig()
+    noisy = noise_sigma > 0.0
+    eq_tol = max(1e-6, 1000.0 * noise_sigma)
+    rank_tol = 1e-3 if noisy else 1e-6
+    dedup_eps = max(1e-3, 100.0 * noise_sigma)
+    ortho_tol = 0.25 if noisy else 1e-6
     mic_local = np.asarray(mic_local, dtype=float)
     if affine_dimension(mic_local) != 3:
         raise ValueError("mic_local must be non-coplanar")
     try:
-        assignment = echo_match(mic_local, e, cfg.root_tol, cfg.noise_sigma, cfg.noise_margin)
+        assignment = echo_match(mic_local, e, noise_sigma=noise_sigma)
         d_detected = detected_distance_matrix(mic_local, assignment)
-        if bordered_rank(d_detected, cfg.rank_tol) < 3:
+        if bordered_rank(d_detected, rank_tol) < 3:
             return LocateResult("fail", fail_reason="coplanar_sources")
         if len(state) == 0:
-            new = update_sources(mic_local, assignment.delta, state, cfg.dedup_eps)
-            state.frame_frozen = True
+            new = update_sources(mic_local, assignment.delta, state, dedup_eps)
             return LocateResult("success", pose=None, new_sources=tuple(new))
         known = state.as_array()
         d_known = pairwise_squared_distances(known)
-        found = match_submatrices(d_detected, d_known, 4, cfg.eq_tol, cfg.rank_tol)
+        found = match_submatrices(d_detected, d_known, 4, eq_tol, rank_tol)
         if found is None:
             return LocateResult("fail", fail_reason="no_match")
         i_idx, j_idx = found
         refs = known[list(j_idx)]
-        pose = self_locate(mic_local, refs, assignment.delta[:, list(i_idx)], cfg.ortho_tol)
-        new = update_sources(refs, d_detected[list(i_idx), :], state, cfg.dedup_eps)
+        pose = self_locate(mic_local, refs, assignment.delta[:, list(i_idx)], ortho_tol)
+        new = update_sources(refs, d_detected[list(i_idx), :], state, dedup_eps)
         return LocateResult("success", pose=pose, new_sources=tuple(new))
     except (DegenerateGeometryError, PoseInconsistencyError) as exc:
         return LocateResult("fail", fail_reason=f"{type(exc).__name__}: {exc}")

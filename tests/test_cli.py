@@ -239,6 +239,19 @@ def test_cli_genericity_generic_point_passes(scenario_dir, capsys):
     assert "passed" in capsys.readouterr().out
 
 
+def test_cli_genericity_prints_speaker_as_plain_floats(scenario_dir, capsys):
+    main(["genericity", str(scenario_dir / "rect_room_2d.yaml"), "--speaker", "6.3,7.1"])
+    assert "[6.3, 7.1]" in capsys.readouterr().out
+
+
+def test_cli_genericity_rejects_onboard_speaker_offset(scenario_dir, capsys):
+    code = main(["genericity", str(scenario_dir / "box_room_onboard.yaml")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "--speaker" in captured.err
+    assert "passed" not in captured.out
+
+
 def test_cli_counterexample_equilateral(capsys):
     code = main(["counterexample", "--k", "3"])
     assert code == 0

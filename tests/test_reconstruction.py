@@ -20,7 +20,6 @@ from echopath import (
     MatchStats,
     Pose,
     PoseInconsistencyError,
-    ReconstructionConfig,
     Scenario,
     SourceRegistry,
     Wall,
@@ -178,7 +177,7 @@ def test_echo_match_equals_full_grid_oracle(sigma):
     for _ in range(12):
         mics = random_mics(rng)
         e = noisy_echo_sets(rng, mics, rng.integers(1, 7), rng.integers(0, 5), sigma)
-        got = echo_match(mics, e, 1e-9, sigma, 8.0).delta
+        got = echo_match(mics, e, 1e-9, sigma).delta
         want = full_grid_echo_match(mics, e, 1e-9, sigma, 8.0)
         assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -345,6 +344,10 @@ def test_match_submatrices_argument_validation():
         match_submatrices(d, d, 0)
     with pytest.raises(ValueError):
         match_submatrices(d, d, 4)
+    with pytest.raises(ValueError):
+        match_submatrices(np.float64(0.0), d, 1)
+    with pytest.raises(ValueError):
+        match_submatrices(d, np.float64(0.0), 1)
 
 
 def search_instance(rng, r, eq_tol, lattice, planted):
@@ -644,14 +647,39 @@ def test_noisy_run_succeeds_with_small_errors():
         seed=9,
         occlusion_enabled=False,
     )
-    cfg = ReconstructionConfig(
-        eq_tol=1.0, rank_tol=1e-3, dedup_eps=0.1, ortho_tol=0.25, noise_sigma=1e-3
-    )
     from echopath import run
 
-    records, metrics = run(scn, cfg)
+    records, metrics = run(scn)
     assert all(r.status != "fail" for r in records)
     errors = [r.position_error for r in records if r.status == "success"]
     assert len(errors) == len(poses) - 1
     assert all(0.0 < e < 0.1 for e in errors)
     assert metrics.fail_count == 0
+
+
+def test_run_passes_noise_level_to_locate_step():
+    scn = Scenario(
+        walls=box_walls(6.0, 5.0, 3.0),
+        speaker=[1.1, 2.3, 1.7],
+        mic_local=tetra_mics(1.0),
+        path=demo_path()[:6],
+        noise_sigma=1e-3,
+        seed=9,
+        occlusion_enabled=False,
+    )
+    from echopath import run
+
+    records, _ = run(scn)
+    registry = SourceRegistry()
+    for idx, (record, pose) in enumerate(zip(records, scn.path)):
+        echoes = generate_echoes(scn, pose, idx)
+        result = locate_step(registry, scn.mic_local, echoes, noise_sigma=scn.noise_sigma)
+        if result.status == "fail":
+            assert record.status == "fail"
+        elif result.pose is None:
+            assert record.status == "bootstrap"
+        else:
+            assert record.status == "success"
+            assert np.array_equal(record.est_pose.v, result.pose.v)
+            assert np.array_equal(record.est_pose.A, result.pose.A)
+    assert sum(r.status == "success" for r in records) == len(records) - 1
