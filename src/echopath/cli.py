@@ -205,20 +205,19 @@ def run(scenario: Scenario):
                 )
             )
 
+    fail_count = sum(r.status == "fail" for r in records)
     succ = [r for r in records if r.status == "success"]
-    if succ:
-        pos = np.array([r.position_error for r in succ])
-        ori = np.array([r.orientation_error for r in succ])
-        metrics = Metrics(
-            position_rmse=float(np.sqrt(np.mean(pos**2))),
-            max_position_error=float(np.max(pos)),
-            orientation_rmse=float(np.sqrt(np.mean(ori**2))),
-            fail_count=sum(r.status == "fail" for r in records),
-            bootstrap_step_index=bootstrap_index,
-        )
-    else:
-        metrics = Metrics(None, None, None, sum(r.status == "fail" for r in records), bootstrap_index)
-    return records, metrics
+    if not succ:
+        return records, Metrics(None, None, None, fail_count, bootstrap_index)
+    pos = np.array([r.position_error for r in succ])
+    ori = np.array([r.orientation_error for r in succ])
+    return records, Metrics(
+        position_rmse=float(np.sqrt(np.mean(pos**2))),
+        max_position_error=float(np.max(pos)),
+        orientation_rmse=float(np.sqrt(np.mean(ori**2))),
+        fail_count=fail_count,
+        bootstrap_step_index=bootstrap_index,
+    )
 
 
 def _sig12(x: float) -> float:
@@ -407,10 +406,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

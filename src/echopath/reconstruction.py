@@ -332,7 +332,7 @@ def self_locate(mic_local, b, delta_cols, ortho_tol: float = 1e-6) -> Pose:
         raise DegenerateGeometryError("local microphone matrix is singular") from exc
     rot, v = av[:, :3], av[:, 3]
     defect = float(np.max(np.abs(rot.T @ rot - np.eye(3))))
-    if defect > ortho_tol:
+    if not defect <= ortho_tol:  # a non-finite defect fails too
         raise PoseInconsistencyError(
             f"recovered orientation deviates from orthogonal by {defect:.3e}"
         )

@@ -58,6 +58,8 @@ class Pose:
         a = np.asarray(self.A, dtype=float)
         if a.shape != (3, 3):
             raise ValueError(f"orientation matrix must be 3x3, got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("orientation matrix must be finite")
         defect = np.max(np.abs(a.T @ a - np.eye(3)))
         if defect > self.ortho_tol:
             raise ValueError(f"orientation matrix is not orthogonal (defect {defect:.2e})")
@@ -128,6 +130,8 @@ class Scenario:
                 raise ValueError("microphones require a 3-d scenario")
             if mics.shape != (4, 3):
                 raise ValueError(f"mic_local must be 4 points in 3-d, got shape {mics.shape}")
+            if not np.all(np.isfinite(mics)):
+                raise ValueError("mic_local coordinates must be finite")
             if affine_dimension(mics) != 3:
                 raise ValueError("mic_local must be non-coplanar")
             object.__setattr__(self, "mic_local", mics)
@@ -135,8 +139,8 @@ class Scenario:
         if path and self.dimension != 3:
             raise ValueError("a pose path requires a 3-d scenario")
         object.__setattr__(self, "path", path)
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ValueError("noise_sigma must be nonnegative and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

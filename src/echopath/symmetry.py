@@ -26,6 +26,7 @@ from .geometry import (
 DEFAULT_GENERICITY_TOL = 1e-9
 _GEOM_TOL = 1e-9
 _MAX_AUTOMORPHISM_POINTS = 10
+_PAIR_BUDGET = 2_000_000  # f pairs tested at once
 
 
 class ConcurrentLinesError(ValueError):
@@ -118,18 +119,6 @@ def _line_triples_concurrent(hs) -> tuple[int, int, int] | None:
     return None
 
 
-def _ordered_triples(k: int) -> np.ndarray:
-    idx = np.indices((k, k, k)).reshape(3, -1).T
-    return idx  # lexicographic order
-
-
-def _independent_triple_mask(normals: np.ndarray, triples: np.ndarray) -> np.ndarray:
-    # Unit normals: the triple is independent exactly when its 3x3 determinant
-    # is away from zero (repeated indices give determinant zero for free).
-    mats = normals[triples]  # (s, 3, 3)
-    return np.abs(np.linalg.det(mats)) > 1e-9
-
-
 def genericity_check(
     a: Arrangement,
     v,
@@ -148,9 +137,10 @@ def genericity_check(
     which case the factors are still evaluated (for them, some f factor
     vanishes identically in v).
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     p = as_point(v, a.dimension)
     hs = a.hyperplanes
-    k = len(hs)
     if a.dimension == 2 and not allow_concurrent:
         triple = _line_triples_concurrent(hs)
         if triple is not None:
@@ -187,67 +177,76 @@ def genericity_check(
     return _check_f_pairs(hs, pair_sq, threshold)
 
 
+def _first_near_duplicate(keys: np.ndarray, rows: np.ndarray, threshold: float):
+    """First (row, col) in row-major order with row in rows, col != row and
+    ||keys[row] - keys[col]|| <= threshold, or None.
+
+    A hit is within threshold in the first key, so a row's hits lie in a
+    window of the columns sorted on it, padded for rounding and for squares
+    that underflow. Windows are tested in row order, at most _PAIR_BUDGET
+    pairs at a time.
+    """
+    order = np.argsort(keys[:, 0])
+    first, k0 = keys[order, 0], keys[rows, 0]
+    pad = threshold + 8 * np.finfo(float).eps * (np.abs(k0) + threshold) + 1e-150
+    lo = np.searchsorted(first, k0 - pad)
+    counts = np.searchsorted(first, k0 + pad, side="right") - lo
+    ends = np.cumsum(counts)  # the pairs of rows[i] are numbered up to ends[i]
+    shift = lo - ends + counts  # sorted column of a pair = its number + shift
+    start = 0
+    while start < rows.size:
+        base = ends[start] - counts[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + _PAIR_BUDGET, side="right")))
+        n = counts[start:stop]
+        row_of = np.repeat(rows[start:stop], n)
+        cols = order[np.repeat(shift[start:stop], n) + np.arange(base, ends[stop - 1])]
+        f = np.zeros(cols.size)
+        for key in keys.T:
+            f += (key[row_of] - key[cols]) ** 2
+        # For one key, sqrt(d * d) == |d| exactly.
+        hit = np.flatnonzero((np.sqrt(f, out=f) <= threshold) & (cols != row_of))
+        if hit.size:
+            row = row_of[hit[0]]
+            return int(row), int(cols[hit[row_of[hit] == row]].min())
+        start = stop
+    return None
+
+
 def _check_f_triples(hs, pair_sq: np.ndarray, threshold: float) -> GenericityReport:
-    # For each ordered triple with independent normals, the three mirror-pair
-    # distances must differ from those of every other ordered triple. The
-    # factor is a sum of three squared differences; its square root is held
-    # to the same squared-distance threshold as the g and h factors.
+    # The mirror-pair distances of each ordered triple with independent normals
+    # must differ from those of every other ordered triple. The factor is the
+    # sum of three squared differences; its square root is held to the g and h
+    # threshold. Triples are in lexicographic order; a repeated index gives
+    # determinant zero, so no row.
     k = len(hs)
     normals = np.stack([h.normal for h in hs])
-    triples = _ordered_triples(k)  # (s, 3)
-    indep_idx = np.flatnonzero(_independent_triple_mask(normals, triples))
-    if indep_idx.size == 0:
+    triples = np.indices((k, k, k)).reshape(3, -1).T
+    rows = np.flatnonzero(np.abs(np.linalg.det(normals[triples])) > _GEOM_TOL)
+    keys = pair_sq[triples[:, [0, 0, 1]], triples[:, [1, 2, 2]]]  # (01, 02, 12) distances
+    hit = _first_near_duplicate(keys, rows, threshold)
+    if hit is None:
         return GenericityReport(True, None)
-    pair_vec = np.stack(
-        [
-            pair_sq[triples[:, 0], triples[:, 1]],
-            pair_sq[triples[:, 0], triples[:, 2]],
-            pair_sq[triples[:, 1], triples[:, 2]],
-        ],
-        axis=1,
-    )  # (s, 3)
-    s = len(triples)
-    chunk = max(1, 2_000_000 // s)
-    for start in range(0, indep_idx.size, chunk):
-        rows = indep_idx[start : start + chunk]
-        diffs = pair_vec[rows][:, None, :] - pair_vec[None, :, :]
-        f_vals = np.sum(diffs**2, axis=2)  # (chunk, s)
-        f_vals[np.arange(rows.size), rows] = np.inf  # each tuple vs itself
-        if np.sqrt(f_vals.min()) <= threshold:
-            # Rows and columns are in scan order, so the first hit in
-            # row-major order is the first vanishing factor.
-            ti, oj = divmod(int(np.argmax(np.sqrt(f_vals) <= threshold)), s)
-            return GenericityReport(
-                False,
-                FactorRef(
-                    "f",
-                    (tuple(int(x) for x in triples[rows[ti]]), tuple(int(x) for x in triples[oj])),
-                    float(f_vals[ti, oj]),
-                ),
-            )
-    return GenericityReport(True, None)
+    row, col = hit
+    planes = (tuple(int(x) for x in triples[row]), tuple(int(x) for x in triples[col]))
+    value = float(np.sum((keys[row] - keys[col]) ** 2))
+    return GenericityReport(False, FactorRef("f", planes, value))
 
 
 def _check_f_pairs(hs, pair_sq: np.ndarray, threshold: float) -> GenericityReport:
     # 2-d form: the mirror-pair distance of each non-parallel pair must
     # differ from that of every other pair (ordered pairs collapse to sets).
     # Rows are the non-parallel pairs i < j, columns all pairs i <= j, both
-    # in lexicographic order, so the first hit is the first in scan order.
-    k = len(hs)
+    # in lexicographic order; i == j gives determinant zero, so no row.
+    pairs = np.stack(np.triu_indices(len(hs)), axis=1)
     normals = np.stack([h.normal for h in hs])
-    ti, tj = np.triu_indices(k, 1)
-    indep = np.abs(np.linalg.det(normals[np.stack([ti, tj], axis=1)])) > _GEOM_TOL
-    ti, tj = ti[indep], tj[indep]
-    ai, aj = np.triu_indices(k)
-    f_vals = pair_sq[ti, tj][:, None] - pair_sq[ai, aj][None, :]
-    is_self = (ti[:, None] == ai[None, :]) & (tj[:, None] == aj[None, :])
-    bad = np.argwhere((np.abs(f_vals) <= threshold) & ~is_self)
-    if bad.size == 0:
+    rows = np.flatnonzero(np.abs(np.linalg.det(normals[pairs])) > _GEOM_TOL)
+    keys = pair_sq[pairs[:, :1], pairs[:, 1:]]  # (s, 1)
+    hit = _first_near_duplicate(keys, rows, threshold)
+    if hit is None:
         return GenericityReport(True, None)
-    row, col = bad[0]
-    t = (int(ti[row]), int(tj[row]))
-    other = (int(ai[col]), int(aj[col]))
-    return GenericityReport(False, FactorRef("f", (t, other), float(f_vals[row, col])))
+    row, col = hit
+    planes = (tuple(int(x) for x in pairs[row]), tuple(int(x) for x in pairs[col]))
+    return GenericityReport(False, FactorRef("f", planes, float(keys[row, 0] - keys[col, 0])))
 
 
 def dihedral_counterexample(k: int) -> Arrangement:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from echopath import (
+    GenericityReport,
     Hyperplane,
     MatchStats,
     Pose,
@@ -13,6 +14,7 @@ from echopath import (
     bordered_rank,
     rotation_from_yaw_pitch_roll,
 )
+from echopath.symmetry import FactorRef
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -171,6 +173,62 @@ def backtracking_match(
         else:
             return None
     return tuple(x - 1 for x in ii[1 : r + 1]), tuple(x - 1 for x in jj[1 : r + 1])
+
+
+# Reference: the chunked f-factor scan that symmetry._check_f_triples
+# replaced, kept as it was; it compares every independent ordered wall triple
+# with all W^3 ordered triples.
+def _ordered_triples(k: int) -> np.ndarray:
+    idx = np.indices((k, k, k)).reshape(3, -1).T
+    return idx  # lexicographic order
+
+
+def _independent_triple_mask(normals: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    # Unit normals: the triple is independent exactly when its 3x3 determinant
+    # is away from zero (repeated indices give determinant zero for free).
+    mats = normals[triples]  # (s, 3, 3)
+    return np.abs(np.linalg.det(mats)) > 1e-9
+
+
+def chunked_check_f_triples(hs, pair_sq: np.ndarray, threshold: float) -> GenericityReport:
+    # For each ordered triple with independent normals, the three mirror-pair
+    # distances must differ from those of every other ordered triple. The
+    # factor is a sum of three squared differences; its square root is held
+    # to the same squared-distance threshold as the g and h factors.
+    k = len(hs)
+    normals = np.stack([h.normal for h in hs])
+    triples = _ordered_triples(k)  # (s, 3)
+    indep_idx = np.flatnonzero(_independent_triple_mask(normals, triples))
+    if indep_idx.size == 0:
+        return GenericityReport(True, None)
+    pair_vec = np.stack(
+        [
+            pair_sq[triples[:, 0], triples[:, 1]],
+            pair_sq[triples[:, 0], triples[:, 2]],
+            pair_sq[triples[:, 1], triples[:, 2]],
+        ],
+        axis=1,
+    )  # (s, 3)
+    s = len(triples)
+    chunk = max(1, 2_000_000 // s)
+    for start in range(0, indep_idx.size, chunk):
+        rows = indep_idx[start : start + chunk]
+        diffs = pair_vec[rows][:, None, :] - pair_vec[None, :, :]
+        f_vals = np.sum(diffs**2, axis=2)  # (chunk, s)
+        f_vals[np.arange(rows.size), rows] = np.inf  # each tuple vs itself
+        if np.sqrt(f_vals.min()) <= threshold:
+            # Rows and columns are in scan order, so the first hit in
+            # row-major order is the first vanishing factor.
+            ti, oj = divmod(int(np.argmax(np.sqrt(f_vals) <= threshold)), s)
+            return GenericityReport(
+                False,
+                FactorRef(
+                    "f",
+                    (tuple(int(x) for x in triples[rows[ti]]), tuple(int(x) for x in triples[oj])),
+                    float(f_vals[ti, oj]),
+                ),
+            )
+    return GenericityReport(True, None)
 
 
 @pytest.fixture

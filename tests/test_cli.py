@@ -56,6 +56,22 @@ speaker: [1.0, 1.0]
     assert scn.walls[0].plane.offset == pytest.approx(3.0)  # same plane x = 3
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("offset: 0.0}", "offset: .nan}", "offset must be finite"),
+        ("yaw: 0.4", "yaw: .nan", "orientation matrix must be finite"),
+        ("noise_sigma: 0.0", "noise_sigma: .nan", "noise_sigma"),
+        ("  - [0.24748737341529164,", "  - [.nan,", "mic_local coordinates must be finite"),
+    ],
+)
+def test_load_rejects_non_finite_values(scenario_dir, tmp_path, old, new, message):
+    path = tmp_path / "nan.yaml"
+    path.write_text((scenario_dir / "box_room.yaml").read_text().replace(old, new, 1))
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(path)
+
+
 def test_load_parse_error(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("walls: [unclosed\n")
@@ -231,6 +247,27 @@ def test_cli_genericity_midline_fails_naming_h(scenario_dir, capsys):
     captured = capsys.readouterr().out
     assert "failed" in captured
     assert "h[" in captured
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_cli_genericity_rejects_bad_tolerance(scenario_dir, capsys, tol):
+    room = str(scenario_dir / "rect_room_2d.yaml")
+    assert main(["genericity", room, "--speaker", "8,5"]) == 0
+    assert "h[0, 1]" in capsys.readouterr().out
+    assert main(["genericity", room, "--speaker", "8,5", "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert "tol must be nonnegative and finite" in captured.err
+    assert "passed" not in captured.out
+
+
+def test_cli_genericity_rejects_nan_wall_offset(scenario_dir, tmp_path, capsys):
+    path = tmp_path / "nan_wall.yaml"
+    text = (scenario_dir / "box_room.yaml").read_text()
+    path.write_text(text.replace("offset: 6.0}", "offset: .nan}", 1))
+    assert main(["genericity", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "offset must be finite" in captured.err
+    assert "passed" not in captured.out
 
 
 def test_cli_genericity_generic_point_passes(scenario_dir, capsys):

@@ -465,6 +465,18 @@ def test_self_locate_flags_inconsistent_distances():
         self_locate(scn.mic_local, sources, delta, ortho_tol=1e-6)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_self_locate_flags_non_finite_orientation(bad):
+    scn = box_scenario()
+    pose = Pose([1.0, 2.0, 1.0], np.eye(3))
+    sources = np.stack(ground_truth_sources(scn, pose))[[0, 1, 3, 5]]
+    mics = world_microphones(scn, pose)
+    delta = np.array([[np.sum((s - m) ** 2) for s in sources] for m in mics])
+    delta[2, 1] = bad
+    with pytest.raises(PoseInconsistencyError):
+        self_locate(scn.mic_local, sources, delta, ortho_tol=0.25)
+
+
 def test_pose_to_euler_basics():
     assert pose_to_euler(np.eye(3)) == (0.0, 0.0, 0.0)
     yaw90 = rotation_from_yaw_pitch_roll(np.pi / 2, 0.0, 0.0)

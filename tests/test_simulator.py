@@ -267,6 +267,11 @@ def test_echo_set_rejects_nonpositive_entries():
 def test_pose_requires_orthogonal_matrix():
     with pytest.raises(ValueError):
         Pose([0, 0, 0], np.eye(3) + 1e-6)
+    for bad in (np.nan, np.inf):
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="orientation matrix must be finite"):
+            Pose([0, 0, 0], a)
     skew = rotation_from_yaw_pitch_roll(0.3, -0.2, 0.9)
     Pose([1, 2, 3], skew)  # fine
 
@@ -274,8 +279,13 @@ def test_pose_requires_orthogonal_matrix():
 def test_scenario_validation():
     with pytest.raises(ValueError, match="non-coplanar"):
         box_scenario(mic_local=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.0]]))
-    with pytest.raises(ValueError, match="noise_sigma"):
-        box_scenario(noise_sigma=-1.0)
+    for sigma in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            box_scenario(noise_sigma=sigma)
+    mics = tetra_mics()
+    mics[3, 0] = np.nan
+    with pytest.raises(ValueError, match="mic_local coordinates must be finite"):
+        box_scenario(mic_local=mics)
     with pytest.raises(ValueError):
         Scenario(walls=(), speaker=[1, 1, 1])
     with pytest.raises(ValueError, match="3-d"):

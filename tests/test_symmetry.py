@@ -1,7 +1,9 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import chunked_check_f_triples
 
 from echopath import (
     Arrangement,
@@ -331,3 +333,96 @@ def test_check_f_triples_matches_loop_reference_on_random_arrangements():
                 assert report.failed_factor.kind == "f"
                 assert report.failed_factor.planes == expected[0]
                 assert report.failed_factor.value == pytest.approx(expected[1], rel=1e-12)
+
+
+def f_report_fields(report):
+    """Kind, planes and the bits of the value, for an exact comparison."""
+    if report.passed:
+        return None
+    f = report.failed_factor
+    return f.kind, f.planes, float(f.value).hex()
+
+
+def mirror_pair_sq(hs, v):
+    return pairwise_squared_distances(np.stack([reflect_point(h, v) for h in hs]))
+
+
+@pytest.mark.parametrize("k", [3, 5, 8, 11, 14])
+def test_check_f_triples_equals_chunked_scan_on_random_arrangements(k):
+    rng = np.random.default_rng(100 + k)
+    for _ in range(2):
+        normals = rng.normal(size=(k, 3))
+        normals[rng.integers(1, k)] = normals[0]  # two parallel walls
+        hs = [Hyperplane(nv, rng.uniform(-3, 3)) for nv in normals]
+        pair_sq = mirror_pair_sq(hs, rng.uniform(-1, 1, 3))
+        vec = pair_sq[np.triu_indices(k, 1)]
+        gaps = np.abs(vec[:, None] - vec[None, :])
+        # Thresholds from none to many hits exercise the scan order.
+        for threshold in (0.0, *np.quantile(gaps[gaps > 0], [0.001, 0.05, 0.5])):
+            assert f_report_fields(_check_f_triples(hs, pair_sq, threshold)) == f_report_fields(
+                chunked_check_f_triples(hs, pair_sq, threshold)
+            )
+
+
+def test_check_f_triples_equals_chunked_scan_on_boxes_with_exact_ties():
+    rng = np.random.default_rng(13)
+    for _ in range(12):
+        lx, ly, lz = rng.integers(1, 5, 3).astype(float)
+        hs = [
+            Hyperplane([1, 0, 0], 0.0), Hyperplane([1, 0, 0], lx),
+            Hyperplane([0, 1, 0], 0.0), Hyperplane([0, 1, 0], ly),
+            Hyperplane([0, 0, 1], 0.0), Hyperplane([0, 0, 1], lz),
+            Hyperplane([1, 1, 0], 1.0),
+        ]
+        pair_sq = mirror_pair_sq(hs, rng.integers(0, 9, 3) / 2.0)
+        for threshold in (0.0, 1e-9, 0.5, 3.0):
+            assert f_report_fields(_check_f_triples(hs, pair_sq, threshold)) == f_report_fields(
+                chunked_check_f_triples(hs, pair_sq, threshold)
+            )
+
+
+def test_check_f_triples_memory_stays_bounded_on_icosahedron():
+    # The 20 face planes of an icosahedron, speaker at its centre: the mirror
+    # points are the vertices of a dodecahedron, so the pair distances take
+    # few values and the near-duplicate windows hold millions of pairs.
+    phi = (1 + 5**0.5) / 2
+    verts = [list(c) for c in itertools.product((-1.0, 1.0), repeat=3)]
+    for a, b in itertools.product((-1.0, 1.0), repeat=2):
+        verts += [[0, a / phi, b * phi], [a / phi, b * phi, 0], [a * phi, 0, b / phi]]
+    hs = [Hyperplane(v, 2.0) for v in verts]
+    pair_sq = mirror_pair_sq(hs, np.zeros(3))
+    threshold = 1e-9 * 16.0
+    tracemalloc.start()
+    try:
+        report = _check_f_triples(hs, pair_sq, threshold)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.passed
+    assert f_report_fields(report) == f_report_fields(chunked_check_f_triples(hs, pair_sq, threshold))
+    assert peak < 100e6
+
+
+def test_generic_speakers_break_every_symmetry_in_3d():
+    # The paper's claim: in dimension 3 a speaker in generic position breaks
+    # every reflection symmetry, here for 30 random rooms of 6 to 40 walls.
+    rng = np.random.default_rng(2024)
+    for k in np.linspace(6, 40, 30).astype(int):
+        hs = tuple(Hyperplane(rng.normal(size=3), rng.uniform(-5, 5)) for _ in range(k))
+        report = genericity_check(Arrangement(hs, 3), rng.uniform(-5, 5, 3))
+        assert report.passed, (k, report.failed_factor)
+
+
+def test_speaker_on_a_mirror_plane_of_a_box_fails():
+    hs = tuple(Hyperplane(n, off) for n in np.eye(3) for off in (0.0, 4.0))
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        y, z = rng.uniform(0.5, 3.5, 2)
+        report = genericity_check(Arrangement(hs, 3), [2.0, y, z])  # x = 2 mirrors the box
+        assert not report.passed
+
+
+@pytest.mark.parametrize("tol", [-1e-9, np.nan, np.inf])
+def test_genericity_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+        genericity_check(RECT, [8.0, 5.0], tol=tol)
