@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # ScenarioError included
+    except ValueError as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
