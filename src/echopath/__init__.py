@@ -27,6 +27,7 @@ from .reconstruction import (
     EchoAssignment,
     LocateResult,
     MatchStats,
+    MicArray,
     PoseInconsistencyError,
     SourceRegistry,
     detected_distance_matrix,
@@ -72,6 +73,7 @@ __all__ = [
     "LocateResult",
     "MatchStats",
     "Metrics",
+    "MicArray",
     "Pose",
     "PoseInconsistencyError",
     "RunRecord",

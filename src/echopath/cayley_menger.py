@@ -22,19 +22,20 @@ from .geometry import (
     pairwise_squared_distances,
 )
 
+# How far the leading row of mutual_distances' delta may stray from 1.
+_ONES_ROW_TOL = 1e-9
 
-def validate_distance_matrix(d: np.ndarray, tol: float = 0.0) -> np.ndarray:
+
+def validate_distance_matrix(d: np.ndarray) -> np.ndarray:
     """Check symmetry, zero diagonal and nonnegativity of a squared-distance matrix."""
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
-    scale = float(np.max(np.abs(d))) if d.size else 0.0
-    bound = tol * max(scale, 1.0)
-    if np.max(np.abs(d - d.T), initial=0.0) > bound:
+    if np.any(d != d.T):
         raise ValueError("distance matrix must be symmetric")
-    if np.max(np.abs(np.diag(d)), initial=0.0) > bound:
+    if np.any(np.diag(d) != 0.0):
         raise ValueError("distance matrix must have zero diagonal")
-    if d.size and float(np.min(d)) < -bound:
+    if np.any(d < 0.0):
         raise ValueError("distance matrix entries must be nonnegative")
     return d
 
@@ -141,7 +142,7 @@ def recover_point(basis: np.ndarray, d) -> np.ndarray:
     return basis.T @ _cm_solve(border(pairwise_squared_distances(basis)), delta)[1:]
 
 
-def mutual_distances(c: np.ndarray, delta: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def mutual_distances(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Squared distances between points known only by distances to a basis.
 
     c is the Cayley-Menger matrix of n+1 basis points spanning R^n and each
@@ -157,7 +158,7 @@ def mutual_distances(c: np.ndarray, delta: np.ndarray, tol: float = 1e-9) -> np.
         raise ValueError(
             f"delta must have {c.shape[0]} rows to match the basis, got {delta.shape[0]}"
         )
-    if np.max(np.abs(delta[0] - 1.0), initial=0.0) > tol:
+    if np.max(np.abs(delta[0] - 1.0), initial=0.0) > _ONES_ROW_TOL:
         raise ValueError("first row of delta must be all ones")
     out = delta.T @ _cm_solve(c, delta)
     out = 0.5 * (out + out.T)

@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from .geometry import Hyperplane, Wall
-from .reconstruction import SourceRegistry, locate_step, pose_to_euler
+from .reconstruction import MicArray, SourceRegistry, locate_step, pose_to_euler
 from .simulator import (
     Pose,
     Scenario,
@@ -170,6 +170,7 @@ def run(scenario: Scenario):
     """
     if scenario.dimension != 3 or scenario.mic_local is None or not scenario.path:
         raise ScenarioError("run requires a 3-d scenario with microphones and a path")
+    mics = MicArray(scenario.mic_local)
     registry = SourceRegistry()
     records: list[RunRecord] = []
     bootstrap_pose: Pose | None = None
@@ -178,7 +179,7 @@ def run(scenario: Scenario):
     for idx, pose in enumerate(scenario.path):
         echoes = generate_echoes(scenario, pose, idx)
         n_known = len(registry)
-        result = locate_step(registry, scenario.mic_local, echoes, scenario.noise_sigma)
+        result = locate_step(registry, mics, echoes, scenario.noise_sigma)
         n_new = len(result.new_sources) if result.new_sources is not None else 0
         if result.status == "fail":
             records.append(

@@ -12,6 +12,7 @@ import numpy as np
 
 BOUNDARY_PLANE_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-6
+_SAME_PLANE_TOL = 1e-9
 
 
 class DegenerateGeometryError(ValueError):
@@ -59,12 +60,12 @@ class Hyperplane:
         """Signed distance from v to the plane (positive on the normal side)."""
         return float(self.normal @ as_point(v, self.dim) - self.offset)
 
-    def same_plane(self, other: "Hyperplane", tol: float = 1e-9) -> bool:
+    def same_plane(self, other: "Hyperplane") -> bool:
         """True if both describe the same point set (normals may be opposite)."""
         d = float(self.normal @ other.normal)
-        if abs(abs(d) - 1.0) > tol:
+        if abs(abs(d) - 1.0) > _SAME_PLANE_TOL:
             return False
-        return abs(self.offset - d * other.offset) <= tol
+        return abs(self.offset - d * other.offset) <= _SAME_PLANE_TOL
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,6 +49,39 @@ class PoseInconsistencyError(RuntimeError):
     """Recovered orientation is far from orthogonal (bad match or noise overload)."""
 
 
+@dataclass(frozen=True, eq=False)
+class MicArray:
+    """The vehicle's four microphones, checked once, and their Cayley-Menger matrix.
+
+    local holds the microphone coordinates in the vehicle frame (4 x 3) and
+    c the 5x5 bordered matrix of their squared mutual distances. Those
+    distances do not change as the vehicle moves, so one value serves a whole
+    run. Both arrays are read-only copies, so c cannot go stale.
+    """
+
+    local: np.ndarray
+    c: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        local = np.array(self.local, dtype=float)
+        if local.shape != (4, 3):
+            raise ValueError(f"mic_local must be 4 points in 3-d, got shape {local.shape}")
+        if not np.all(np.isfinite(local)):
+            raise ValueError("mic_local coordinates must be finite")
+        if affine_dimension(local) != 3:
+            raise DegenerateGeometryError("mic_local must be non-coplanar")
+        c = cm_matrix(pairwise_squared_distances(local))
+        local.setflags(write=False)
+        c.setflags(write=False)
+        object.__setattr__(self, "local", local)
+        object.__setattr__(self, "c", c)
+
+
+def _mic_array(mics) -> MicArray:
+    """mics itself if it is a MicArray, else the MicArray of its coordinates."""
+    return mics if isinstance(mics, MicArray) else MicArray(mics)
+
+
 @dataclass(eq=False)
 class SourceRegistry:
     """Known sound-source positions, all in the frozen coordinate frame."""
@@ -134,7 +167,7 @@ _MIC_I, _MIC_J = np.triu_indices(4, 1)
 _BOX_CORNERS = np.array(list(itertools.product((False, True), repeat=4)))
 
 
-def _pair_pruned_grid(d_mics, c, sets, root_tol, noise_sigma) -> np.ndarray:
+def _pair_pruned_grid(c, sets, root_tol, noise_sigma) -> np.ndarray:
     """Rows of the product grid of sets that can pass echo_match's test, in order.
 
     For y = (1, x) write c^{-1} y = (mu, lam) and p = sum lam_i m_i. Then
@@ -164,6 +197,7 @@ def _pair_pruned_grid(d_mics, c, sets, root_tol, noise_sigma) -> np.ndarray:
 
     r = np.sqrt(np.clip(x, 0.0, None))
     slack = np.divide(kappa, r, out=np.full_like(r, np.inf), where=x > 0.0)
+    d_mics = c[1:, 1:]  # the microphones' squared mutual distances
     ok = np.abs(r[_MIC_I, :, None] - r[_MIC_J, None, :]) <= (
         np.sqrt(d_mics[_MIC_I, _MIC_J])[:, None, None]
         + slack[_MIC_I, :, None]
@@ -199,16 +233,16 @@ def echo_match(
     Only columns that pass a pairwise triangle bound are tested; the bound
     holds for every column the test accepts (see _pair_pruned_grid), so the
     result equals that of testing the full grid.
+
+    mics is a MicArray or the microphones' local coordinates.
     """
-    mics = np.asarray(mics, dtype=float)
-    if affine_dimension(mics) != 3:
-        raise DegenerateGeometryError("microphones must be non-coplanar")
+    c = _mic_array(mics).c
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ValueError("noise_sigma must be nonnegative and finite")
     sets = [np.asarray(s, dtype=float) for s in e.d_sets]
     if any(s.size == 0 for s in sets):
         return EchoAssignment(np.zeros((4, 0)))
-    d_mics = pairwise_squared_distances(mics)
-    c = cm_matrix(d_mics)
-    grid = _pair_pruned_grid(d_mics, c, sets, root_tol, noise_sigma)
+    grid = _pair_pruned_grid(c, sets, root_tol, noise_sigma)
     vals = cm_polynomial_batch(c, grid)
     threshold = root_tol * np.max(grid, axis=1) ** 3
     if noise_sigma > 0.0:
@@ -224,15 +258,12 @@ def detected_distance_matrix(mics, a: EchoAssignment) -> np.ndarray:
     """Squared distances between the detected sources.
 
     Built from the echo columns and the (pose-invariant) microphone mutual
-    distances only; no world positions are needed.
+    distances only; no world positions are needed. mics is a MicArray or the
+    microphones' local coordinates.
     """
-    mics = np.asarray(mics, dtype=float)
-    if affine_dimension(mics) != 3:
-        raise DegenerateGeometryError("microphones must be non-coplanar")
-    c = cm_matrix(pairwise_squared_distances(mics))
     m = a.n_sources
     delta_bar = np.vstack([np.ones((1, m)), a.delta])
-    return mutual_distances(c, delta_bar)
+    return mutual_distances(_mic_array(mics).c, delta_bar)
 
 
 def match_submatrices(
@@ -317,19 +348,17 @@ def self_locate(mic_local, b, delta_cols, ortho_tol: float = 1e-6) -> Pose:
     distance from microphone k to reference j. Multilaterating each
     microphone from the references and factoring against the local microphone
     coordinates yields (A | v); A must come out orthogonal, anything else
-    means the match was wrong or noise dominates.
+    means the match was wrong or noise dominates. mic_local is a MicArray or
+    the microphones' local coordinates.
     """
-    mic_local = np.asarray(mic_local, dtype=float)
+    mic_local = _mic_array(mic_local).local
     b = np.asarray(b, dtype=float)
     delta_cols = np.asarray(delta_cols, dtype=float)
-    if b.shape != (4, 3) or mic_local.shape != (4, 3) or delta_cols.shape != (4, 4):
+    if b.shape != (4, 3) or delta_cols.shape != (4, 4):
         raise ValueError("self_locate expects 4x3 points and a 4x4 distance block")
     mics_world = recover_point(b, delta_cols.T)  # columns are the microphone positions
-    m = np.vstack([mic_local.T, np.ones((1, 4))])
-    try:
-        av = np.linalg.solve(m.T, mics_world.T).T
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateGeometryError("local microphone matrix is singular") from exc
+    m = np.vstack([mic_local.T, np.ones((1, 4))])  # nonsingular: the mics span 3-d
+    av = np.linalg.solve(m.T, mics_world.T).T
     rot, v = av[:, :3], av[:, 3]
     defect = float(np.max(np.abs(rot.T @ rot - np.eye(3))))
     if not defect <= ortho_tol:  # a non-finite defect fails too
@@ -403,22 +432,24 @@ def locate_step(
     for noise-perturbed source geometry, the dedup radius lies above the
     per-source position scatter, and a loose orthogonality gate still rejects
     false matches.
+
+    mic_local is a MicArray or the microphones' local coordinates; a run
+    passes one MicArray to every step. A bad microphone array or noise level
+    raises ValueError rather than returning a FAIL.
     """
     noisy = noise_sigma > 0.0
     eq_tol = max(1e-6, 1000.0 * noise_sigma)
     rank_tol = 1e-3 if noisy else 1e-6
     dedup_eps = max(1e-3, 100.0 * noise_sigma)
     ortho_tol = 0.25 if noisy else 1e-6
-    mic_local = np.asarray(mic_local, dtype=float)
-    if affine_dimension(mic_local) != 3:
-        raise ValueError("mic_local must be non-coplanar")
+    mics = _mic_array(mic_local)
     try:
-        assignment = echo_match(mic_local, e, noise_sigma=noise_sigma)
-        d_detected = detected_distance_matrix(mic_local, assignment)
+        assignment = echo_match(mics, e, noise_sigma=noise_sigma)
+        d_detected = detected_distance_matrix(mics, assignment)
         if bordered_rank(d_detected, rank_tol) < 3:
             return LocateResult("fail", fail_reason="coplanar_sources")
         if len(state) == 0:
-            new = update_sources(mic_local, assignment.delta, state, dedup_eps)
+            new = update_sources(mics.local, assignment.delta, state, dedup_eps)
             return LocateResult("success", pose=None, new_sources=tuple(new))
         known = state.as_array()
         d_known = pairwise_squared_distances(known)
@@ -427,7 +458,7 @@ def locate_step(
             return LocateResult("fail", fail_reason="no_match")
         i_idx, j_idx = found
         refs = known[list(j_idx)]
-        pose = self_locate(mic_local, refs, assignment.delta[:, list(i_idx)], ortho_tol)
+        pose = self_locate(mics, refs, assignment.delta[:, list(i_idx)], ortho_tol)
         new = update_sources(refs, d_detected[list(i_idx), :], state, dedup_eps)
         return LocateResult("success", pose=pose, new_sources=tuple(new))
     except (DegenerateGeometryError, PoseInconsistencyError) as exc:

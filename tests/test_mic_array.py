@@ -1,0 +1,132 @@
+"""The microphone array value: one check and one Cayley-Menger matrix per run."""
+
+import re
+
+import numpy as np
+import pytest
+from conftest import box_scenario, tetra_mics
+
+import echopath.reconstruction as reconstruction
+from echopath import (
+    DegenerateGeometryError,
+    MicArray,
+    SourceRegistry,
+    detected_distance_matrix,
+    echo_match,
+    generate_echoes,
+    ground_truth_sources,
+    locate_step,
+    pairwise_squared_distances,
+    run,
+    self_locate,
+    world_microphones,
+)
+from echopath.cayley_menger import cm_matrix
+
+MICS = tetra_mics()
+
+
+def _with_entry(value):
+    mics = MICS.copy()
+    mics[1, 2] = value
+    return mics
+
+
+BAD_MICS = {
+    "nan": (_with_entry(np.nan), ValueError, "mic_local coordinates must be finite"),
+    "inf": (_with_entry(np.inf), ValueError, "mic_local coordinates must be finite"),
+    "five": (
+        np.vstack([MICS, [[0.1, 0.2, 0.3]]]),
+        ValueError,
+        re.escape("mic_local must be 4 points in 3-d, got shape (5, 3)"),
+    ),
+    "flat": (
+        np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float),
+        DegenerateGeometryError,
+        "mic_local must be non-coplanar",
+    ),
+}
+
+
+def _box_step():
+    """Echoes of the box scenario's first pose, and a valid self_locate input."""
+    scn = box_scenario()
+    pose = scn.path[0]
+    echoes = generate_echoes(scn, pose, 0)
+    refs = np.stack(ground_truth_sources(scn, pose))[[0, 2, 4, 6]]
+    delta = pairwise_squared_distances(np.vstack([world_microphones(scn, pose), refs]))[:4, 4:]
+    return echoes, refs, delta
+
+
+CALLS = {
+    "MicArray": lambda mics: MicArray(mics),
+    "locate_step": lambda mics: locate_step(SourceRegistry(), mics, _box_step()[0]),
+    "echo_match": lambda mics: echo_match(mics, _box_step()[0]),
+    "detected_distance_matrix": lambda mics: detected_distance_matrix(
+        mics, echo_match(MICS, _box_step()[0])
+    ),
+    "self_locate": lambda mics: self_locate(mics, *_box_step()[1:]),
+}
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+@pytest.mark.parametrize("bad", BAD_MICS.values(), ids=BAD_MICS.keys())
+def test_bad_microphone_array_is_rejected(call, bad):
+    mics, error, message = bad
+    with pytest.raises(error, match=message):
+        call(mics)
+
+
+@pytest.mark.parametrize("call", ["echo_match", "locate_step"])
+@pytest.mark.parametrize("sigma", [np.nan, -1e-3, np.inf])
+def test_bad_noise_level_is_rejected(call, sigma):
+    scn = box_scenario(noise_sigma=1e-3, seed=9)
+    echoes = generate_echoes(scn, scn.path[0], 0)
+    registry = SourceRegistry()
+    assert locate_step(registry, scn.mic_local, echoes, scn.noise_sigma).status == "success"
+    n_known = len(registry)
+    with pytest.raises(ValueError, match="noise_sigma must be nonnegative and finite"):
+        if call == "echo_match":
+            echo_match(scn.mic_local, echoes, noise_sigma=sigma)
+        else:
+            locate_step(registry, scn.mic_local, echoes, sigma)
+    assert len(registry) == n_known
+
+
+def test_mic_array_holds_read_only_copies():
+    source = MICS.copy()
+    mics = MicArray(source)
+    source[0, 0] += 1.0
+    assert np.array_equal(mics.local, MICS)
+    assert np.array_equal(mics.c, cm_matrix(pairwise_squared_distances(MICS)))
+    for array in (mics.local, mics.c):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
+
+def test_run_checks_the_microphones_once_and_steps_match_raw_coordinates(monkeypatch):
+    calls = []
+    real = reconstruction.affine_dimension
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruction, "affine_dimension", counted)
+    run(box_scenario())
+    assert len(calls) == 1
+
+    scn = box_scenario(noise_sigma=1e-3, seed=9)
+    mics = MicArray(scn.mic_local)
+    by_value, by_coords = SourceRegistry(), SourceRegistry()
+    for idx, pose in enumerate(scn.path):
+        echoes = generate_echoes(scn, pose, idx)
+        got = locate_step(by_value, mics, echoes, scn.noise_sigma)
+        want = locate_step(by_coords, scn.mic_local, echoes, scn.noise_sigma)
+        assert (got.status, got.fail_reason) == (want.status, want.fail_reason)
+        assert (got.pose is None) == (want.pose is None)
+        if want.pose is not None:
+            assert np.array_equal(got.pose.v, want.pose.v)
+            assert np.array_equal(got.pose.A, want.pose.A)
+    assert len(by_value) == len(by_coords) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(by_value.sources, by_coords.sources))
