@@ -24,7 +24,6 @@ leaves the registry untouched.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,14 +52,16 @@ class PoseInconsistencyError(RuntimeError):
 class MicArray:
     """The vehicle's four microphones, checked once, and their Cayley-Menger matrix.
 
-    local holds the microphone coordinates in the vehicle frame (4 x 3) and
-    c the 5x5 bordered matrix of their squared mutual distances. Those
-    distances do not change as the vehicle moves, so one value serves a whole
-    run. Both arrays are read-only copies, so c cannot go stale.
+    local holds the microphone coordinates in the vehicle frame (4 x 3), c the
+    5x5 bordered matrix of their squared mutual distances, c_inv its inverse
+    and abs_det_c |det c|. The distances do not change as the vehicle moves,
+    so one value serves a whole run; the arrays are read-only copies.
     """
 
     local: np.ndarray
     c: np.ndarray = field(init=False)
+    c_inv: np.ndarray = field(init=False)
+    abs_det_c: float = field(init=False)
 
     def __post_init__(self):
         local = np.array(self.local, dtype=float)
@@ -71,10 +72,10 @@ class MicArray:
         if affine_dimension(local) != 3:
             raise DegenerateGeometryError("mic_local must be non-coplanar")
         c = cm_matrix(pairwise_squared_distances(local))
-        local.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "local", local)
-        object.__setattr__(self, "c", c)
+        for name, value in (("local", local), ("c", c), ("c_inv", np.linalg.inv(c))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "abs_det_c", abs(float(np.linalg.det(c))))
 
 
 def _mic_array(mics) -> MicArray:
@@ -161,55 +162,54 @@ def _polynomial_noise_std(c: np.ndarray, grid: np.ndarray, sigma: float) -> np.n
 # Under noise the echo-root test is widened by this many predicted noise stds.
 _NOISE_MARGIN = 8.0
 
-# Microphone pairs (i, j), i < j, in the order _pair_pruned_grid joins them,
-# and the 16 corners of a 4-d box as low/high choices per axis.
-_MIC_I, _MIC_J = np.triu_indices(4, 1)
-_BOX_CORNERS = np.array(list(itertools.product((False, True), repeat=4)))
 
+def _root_window_grid(mics: MicArray, sets, root_tol, noise_sigma) -> np.ndarray:
+    """Rows of the product grid of sets that can pass echo_match's test.
 
-def _pair_pruned_grid(c, sets, root_tol, noise_sigma) -> np.ndarray:
-    """Rows of the product grid of sets that can pass echo_match's test, in order.
-
-    For y = (1, x) write c^{-1} y = (mu, lam) and p = sum lam_i m_i. Then
-    x_i = ||p - m_i||^2 + q/2 with q = -P(x)/det(c). A column passes only if
-    |P(x)| is at most its threshold, and no threshold in the box
-    prod [min S_i, max S_i] exceeds t_max, so every x_i of a passing column
-    lies within kappa = t_max / (2 |det c|) of a true squared distance. For
-    r_i = sqrt(x_i) the triangle inequality of p, m_i and m_j then gives
-    |r_i - r_j| <= ||m_i - m_j|| + kappa (1/r_i + 1/r_j). Each microphone
-    pair prunes its two echo sets with that bound, kappa doubled as round-off
-    headroom; a nonpositive entry bounds nothing and is kept.
+    With y = (1, x) and G = C^{-1} the test bounds |y^T G y| by its threshold
+    over |det C|. For fixed (x1, x2, x3) the form is e - a (x4 - z)^2 with
+    a = -G_44 > 0 (non-coplanar microphones), so accepted x4 lie in two
+    windows around its roots. tau bounds the scaled threshold on [min S4,
+    max S4]: max(x)^3 and the entry std of x4 peak at max S4, and the
+    gradient -2 det C G y is affine in x4, so its entries peak at an end.
+    Rounding adds 16 eps (a z^2 + tau + y^T (|G| + |G||C||G|) y at max S4),
+    for the vertex form and windows, the threshold, and the form here and in
+    the test's solve, whose backward error is about eps |G y|^T |C| |G y|.
     """
-    # One row per microphone, padded with NaN, which fails every comparison.
-    x = np.full((4, max(len(s) for s in sets)), np.nan)
-    for k, s in enumerate(sets):
-        x[k, : len(s)] = s
-    lo, hi = np.fmin.reduce(x, axis=1), np.fmax.reduce(x, axis=1)
-    x_max = max(float(hi.max()), 0.0)
-    t_max = root_tol * x_max**3
-    if noise_sigma > 0.0:
-        # The noise std is at most the largest entry std times the gradient
-        # norm; the gradient is affine in x, so its norm peaks at a corner.
-        grad = _cm_polynomial_gradient(c, np.where(_BOX_CORNERS, hi, lo))
-        entry_std = 2.0 * np.sqrt(x_max) * noise_sigma + noise_sigma**2
-        t_max += _NOISE_MARGIN * entry_std * np.max(np.linalg.norm(grad, axis=1))
-    kappa = t_max / abs(np.linalg.det(c))  # twice t_max / (2 |det c|)
+    g, s4, x3 = mics.c_inv, np.sort(sets[3]), sets[2]
+    y = np.stack(np.broadcast_arrays(1.0, sets[0][:, None], sets[1], 0.0, s4[-1]), axis=-1)
+    y = y.reshape(-1, 5)  # rows (1, x1, x2, 0, max S4), one per (x1, x2) pair
 
-    r = np.sqrt(np.clip(x, 0.0, None))
-    slack = np.divide(kappa, r, out=np.full_like(r, np.inf), where=x > 0.0)
-    d_mics = c[1:, 1:]  # the microphones' squared mutual distances
-    ok = np.abs(r[_MIC_I, :, None] - r[_MIC_J, None, :]) <= (
-        np.sqrt(d_mics[_MIC_I, _MIC_J])[:, None, None]
-        + slack[_MIC_I, :, None]
-        + slack[_MIC_J, None, :]
-    )  # ok[pair, a, b]: entry a of set i and entry b of set j pass
-    ok01, ok02, ok03, ok12, ok13, ok23 = ok
-    # Extend the surviving index pairs (i0, i1) by one microphone at a time.
-    i0, i1 = np.nonzero(ok01)
-    keep, i2 = np.nonzero(ok02[i0] & ok12[i1])
-    i0, i1 = i0[keep], i1[keep]
-    keep, i3 = np.nonzero(ok03[i0] & ok13[i1] & ok23[i2])
-    return np.stack([x[0, i0[keep]], x[1, i1[keep]], x[2, i2[keep]], x[3, i3]], axis=1)
+    def form(m):  # y^T m y over the triples, as (x1, x2) pairs by x3
+        my = y @ m
+        return np.sum(y * my, axis=1)[:, None] + x3 * (2.0 * my[:, 3:4] + m[3, 3] * x3)
+
+    a = -g[4, 4]
+    gy = y @ g  # G y per pair, less its x3 part
+    z = s4[-1] + (gy[:, 4:] + g[4, 3] * x3) / a  # where (G y)_4, half the x4 slope, is 0
+    e = form(g) + a * (s4[-1] - z) ** 2  # the form is e - a (x4 - z)^2
+    tau = root_tol * np.maximum(np.max(y[:, 1:], axis=1)[:, None], x3) ** 3 / mics.abs_det_c
+    if noise_sigma > 0.0:
+        high = gy[:, 1:, None] + g[1:, 3, None] * x3  # rows 1-4 of G y at x4 = max S4
+        w = np.maximum(np.abs(high), np.abs(high - g[1:, 4, None] * (s4[-1] - s4[0])))
+        for row, x in zip(w.transpose(1, 0, 2), (y[:, 1:2], y[:, 2:3], x3, s4[-1])):
+            row *= 2.0 * np.sqrt(x) * noise_sigma + noise_sigma**2  # the entry std
+        tau += 2.0 * _NOISE_MARGIN * np.sqrt(np.sum(w**2, axis=1))
+    abs_g = np.abs(g)
+    rounding = form(abs_g + abs_g @ np.abs(mics.c) @ abs_g) + a * z**2 + tau
+    tau += 16.0 * np.finfo(float).eps * rounding
+    # Only triples whose form reaches -tau in [min S4, max S4] have candidates.
+    t = np.flatnonzero(e + tau >= a * (np.clip(z, s4[0], s4[-1]) - z) ** 2)
+    z, e, tau = z.ravel()[t], e.ravel()[t], tau.ravel()[t]
+    near, far = np.sqrt(np.maximum(e - tau, 0.0) / a), np.sqrt((e + tau) / a)
+    lo = np.searchsorted(s4, np.concatenate([z - far, z + near]))
+    hi = np.searchsorted(s4, np.concatenate([z - near, z + far]), side="right")
+    lo[t.size :] = np.maximum(lo[t.size :], hi[: t.size])  # an entry in both is taken once
+    count = hi - lo
+    triple = np.repeat(np.concatenate([t, t]), count)
+    entry = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    pair, k3 = np.divmod(triple, x3.size)
+    return np.column_stack([y[pair, 1:3], x3[k3], s4[entry]])
 
 
 def echo_match(
@@ -230,27 +230,25 @@ def echo_match(
     consistency under noise are kept as well; such ghost columns are expected
     to be discarded later by failing to match known sources.
 
-    Only columns that pass a pairwise triangle bound are tested; the bound
-    holds for every column the test accepts (see _pair_pruned_grid), so the
+    The polynomial is quadratic in d4, so for each (d1, d2, d3) only the d4
+    in two windows around its roots are tested. The windows hold every d4
+    the test accepts, at any noise level (see _root_window_grid), so the
     result equals that of testing the full grid.
 
     mics is a MicArray or the microphones' local coordinates.
     """
-    c = _mic_array(mics).c
+    mics = _mic_array(mics)
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise ValueError("noise_sigma must be nonnegative and finite")
     sets = [np.asarray(s, dtype=float) for s in e.d_sets]
     if any(s.size == 0 for s in sets):
         return EchoAssignment(np.zeros((4, 0)))
-    grid = _pair_pruned_grid(c, sets, root_tol, noise_sigma)
-    vals = cm_polynomial_batch(c, grid)
+    grid = _root_window_grid(mics, sets, root_tol, noise_sigma)
+    vals = cm_polynomial_batch(mics.c, grid)
     threshold = root_tol * np.max(grid, axis=1) ** 3
     if noise_sigma > 0.0:
-        threshold = threshold + _NOISE_MARGIN * _polynomial_noise_std(c, grid, noise_sigma)
-    cols = grid[np.abs(vals) <= threshold]
-    if cols.shape[0] == 0:
-        return EchoAssignment(np.zeros((4, 0)))
-    cols = np.unique(cols, axis=0)
+        threshold = threshold + _NOISE_MARGIN * _polynomial_noise_std(mics.c, grid, noise_sigma)
+    cols = np.unique(grid[np.abs(vals) <= threshold], axis=0)
     return EchoAssignment(np.ascontiguousarray(cols.T))
 
 

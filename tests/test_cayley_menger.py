@@ -221,6 +221,36 @@ def test_echo_entries_are_squared_distances_shifted_by_the_polynomial():
         assert np.all(np.abs(rebuilt - xs) <= 1e-9 * np.abs(xs))
 
 
+def test_cm_polynomial_in_x4_is_a_parabola_through_a_point_and_its_mirror_image():
+    # With x1..x3 fixed, P is quadratic in x4 with leading coefficient
+    # -det(C) (C^{-1})_44 = 16 A^2 > 0, A the area of microphones 1-3, and
+    # (C^{-1})_44 = -16 A^2 / (288 V^2) < 0. The points at distances x1..x3
+    # from microphones 1-3 are a point and its mirror image in their plane,
+    # so the roots are the squared distances from microphone 4 to both.
+    rng = np.random.default_rng(50)
+    for _ in range(20):
+        mics = rng.uniform(-1, 1, (4, 3))
+        if np.linalg.svd(mics[1:] - mics[0], compute_uv=False)[-1] < 0.2:
+            continue
+        c = cm_matrix(pairwise_squared_distances(mics))
+        normal = np.cross(mics[1] - mics[0], mics[2] - mics[0])
+        area = np.linalg.norm(normal) / 2.0
+        volume = abs(np.dot(normal, mics[3] - mics[0])) / 6.0
+        normal /= np.linalg.norm(normal)
+        point = rng.uniform(-4, 4, 3)
+        mirror = point - 2.0 * np.dot(point - mics[0], normal) * normal
+        x = np.sum((mics[:3] - point) ** 2, axis=1)
+        t = np.array([0.0, 10.0, 20.0])
+        coeffs = np.polyfit(t, [cm_polynomial(c, [*x, ti]) for ti in t], 2)
+        g44 = np.linalg.inv(c)[4, 4]
+        assert g44 < 0.0
+        assert g44 == pytest.approx(-16.0 * area**2 / (288.0 * volume**2), rel=1e-9)
+        assert coeffs[0] == pytest.approx(-np.linalg.det(c) * g44, rel=1e-9)
+        assert coeffs[0] == pytest.approx(16.0 * area**2, rel=1e-9)
+        want = sorted(np.sum((np.stack([point, mirror]) - mics[3]) ** 2, axis=1))
+        assert np.sort(np.roots(coeffs).real) == pytest.approx(want, rel=1e-7, abs=1e-7)
+
+
 def test_recover_point_examples():
     w = recover_point(MICS, [29.0, 26.0, 24.0, 22.0])
     assert np.allclose(w, [2.0, 3.0, 4.0], atol=1e-9)

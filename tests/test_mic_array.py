@@ -99,7 +99,9 @@ def test_mic_array_holds_read_only_copies():
     source[0, 0] += 1.0
     assert np.array_equal(mics.local, MICS)
     assert np.array_equal(mics.c, cm_matrix(pairwise_squared_distances(MICS)))
-    for array in (mics.local, mics.c):
+    assert np.array_equal(mics.c_inv, np.linalg.inv(mics.c))
+    assert mics.abs_det_c == abs(np.linalg.det(mics.c))
+    for array in (mics.local, mics.c, mics.c_inv):
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
 

@@ -37,6 +37,7 @@ from echopath import (
     update_sources,
     world_microphones,
 )
+from echopath import reconstruction
 from echopath.cayley_menger import _cm_polynomial_gradient, cm_matrix, cm_polynomial_batch
 from echopath.cli import to_frozen_frame
 
@@ -212,6 +213,102 @@ def test_echo_match_keeps_a_near_ghost_column_just_inside_root_tol():
             got = echo_match(mics, e, root_tol).delta
             assert np.array_equal(got, full_grid_echo_match(mics, e, root_tol))
             assert any(np.array_equal(col, column) for col in got.T) == inside
+
+
+def test_echo_match_keeps_a_noisy_near_ghost_column_just_inside_the_threshold():
+    # The shift of the test above moves P by -2 delta det C and leaves its
+    # gradient as it is, so under noise a few fixed-point steps place the
+    # column at a chosen fraction of its own threshold.
+    rng = np.random.default_rng(64)
+    root_tol, sigma = 1e-9, 1e-3
+    for _ in range(10):
+        mics = random_mics(rng)
+        c = cm_matrix(pairwise_squared_distances(mics))
+        source = mics[1] + rng.uniform(1.0, 3.0) * (mics[1] - mics[0])
+        profile = np.sum((mics - source) ** 2, axis=1)
+        grad = _cm_polynomial_gradient(c, profile)[0]
+        for inside, factor in ((True, 0.9), (False, 1.1)):
+            delta = 0.0
+            for _ in range(30):
+                column = profile + delta
+                entry_std = 2.0 * np.sqrt(column) * sigma + sigma**2
+                threshold = root_tol * np.max(column) ** 3 + 8.0 * np.linalg.norm(grad * entry_std)
+                delta = factor * threshold / (2.0 * abs(np.linalg.det(c)))
+            column = profile + delta
+            spurious = rng.uniform(0.5, np.sqrt(np.max(column)), (4, 3)) ** 2
+            e = EchoSet(tuple(tuple(np.append(sp, x)) for sp, x in zip(spurious, column)))
+            got = echo_match(mics, e, root_tol, sigma).delta
+            assert np.array_equal(got, full_grid_echo_match(mics, e, root_tol, sigma))
+            assert any(np.array_equal(col, column) for col in got.T) == inside
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_echo_match_equals_full_grid_oracle_at_round_off_tolerance(sigma):
+    # At root_tol 1e-15 true noiseless columns pass by little more than the
+    # round-off of P, which the candidate windows must cover.
+    rng = np.random.default_rng(66)
+    for _ in range(40):
+        mics = random_mics(rng)
+        e = noisy_echo_sets(rng, mics, rng.integers(1, 7), rng.integers(0, 5), sigma)
+        got = echo_match(mics, e, 1e-15, sigma).delta
+        assert np.array_equal(got, full_grid_echo_match(mics, e, 1e-15, sigma))
+
+
+@pytest.fixture
+def polynomial_rows(monkeypatch):
+    """Row counts of every cm_polynomial_batch call echo_match makes."""
+    rows = []
+    real = reconstruction.cm_polynomial_batch
+
+    def counted(c, xs):
+        rows.append(len(xs))
+        return real(c, xs)
+
+    monkeypatch.setattr(reconstruction, "cm_polynomial_batch", counted)
+    return rows
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+@pytest.mark.parametrize("root_tol", [1e-9, 1e-15])
+def test_echo_match_on_degenerate_sets_equals_oracle(sigma, root_tol, polynomial_rows):
+    rng = np.random.default_rng(67)
+    for _ in range(5):
+        mics = random_mics(rng)
+        # The circumcentre has one squared distance to all four microphones;
+        # a point in the plane of microphones 1-3 is its own mirror image, so
+        # its two x4 roots coincide.
+        circumcentre = np.linalg.solve(
+            2.0 * (mics[1:] - mics[0]), np.sum(mics[1:] ** 2 - mics[0] ** 2, axis=1)
+        )
+        in_plane = mics[0] + rng.uniform(1.0, 3.0, 2) @ (mics[1:3] - mics[0])
+        for source in (circumcentre, in_plane, rng.uniform(-4.0, 4.0, 3)):
+            profile = np.sum((mics - source) ** 2, axis=1)
+            shared = rng.uniform(0.5, 20.0, 2)  # in every set
+            cases = [
+                [(x,) for x in profile],  # one column
+                [(x, *shared) for x in profile[:3]] + [(profile[3],)],  # one x4
+                [(x, *shared) for x in profile],
+                [tuple(shared)] * 4,
+            ]
+            for sets in cases:
+                e = EchoSet(tuple(sets))
+                del polynomial_rows[:]
+                got = echo_match(mics, e, root_tol, sigma).delta
+                assert np.array_equal(got, full_grid_echo_match(mics, e, root_tol, sigma))
+                # The two windows around a double root take their entries once.
+                assert sum(polynomial_rows) <= np.prod([len(s) for s in e.d_sets])
+
+
+def test_echo_match_tests_under_a_tenth_of_the_grid_under_noise(polynomial_rows):
+    rng = np.random.default_rng(65)
+    grid = 0
+    for _ in range(20):
+        mics = random_mics(rng)
+        e = noisy_echo_sets(rng, mics, 6, 4, 1e-3)
+        echo_match(mics, e, 1e-9, 1e-3)
+        grid += np.prod([len(s) for s in e.d_sets])
+    assert sum(polynomial_rows) < 0.1 * grid
 
 
 def test_detected_distance_matrix_single_source():
