@@ -104,20 +104,28 @@ def cm_polynomial(c: np.ndarray, x) -> float:
     return float(np.linalg.det(np.block([[c, y], [y.T, 0.0]])))
 
 
+def _echo_form(c, xs) -> tuple[float, np.ndarray, np.ndarray]:
+    """det(c), y = (1, x) per row of xs and c^{-1} y summed one column of c^{-1}
+    at a time, so a row rounds alike in any batch (a many-column solve does not)."""
+    c, y = _echo_columns(c, xs)
+    g = _cm_solve(c, np.eye(5))
+    return np.linalg.det(c), y, sum(g[:, j, None] * y[j] for j in range(5))
+
+
 def cm_polynomial_batch(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """cm_polynomial over the rows of xs (shape (k, 4)), as a quadratic form.
 
     With y = (1, x), the bordered determinant equals -det(c) * y^T c^{-1} y
-    (Schur complement of c), so one solve against c serves every row.
+    (Schur complement of c). A row's value does not depend on the other rows.
     """
-    c, y = _echo_columns(c, xs)
-    return -np.linalg.det(c) * np.einsum("ik,ik->k", y, _cm_solve(c, y))
+    det, y, gy = _echo_form(c, xs)
+    return -det * sum(y[i] * gy[i] for i in range(5))
 
 
 def _cm_polynomial_gradient(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Gradient of cm_polynomial in x at each row of xs: -2 det(c) (c^{-1} y)[1:]."""
-    c, y = _echo_columns(c, xs)
-    return -2.0 * np.linalg.det(c) * _cm_solve(c, y)[1:].T
+    det, _, gy = _echo_form(c, xs)
+    return -2.0 * det * gy[1:].T
 
 
 def recover_point(basis: np.ndarray, d) -> np.ndarray:

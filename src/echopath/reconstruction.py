@@ -174,7 +174,7 @@ def _root_window_grid(mics: MicArray, sets, root_tol, noise_sigma) -> np.ndarray
     gradient -2 det C G y is affine in x4, so its entries peak at an end.
     Rounding adds 16 eps (a z^2 + tau + y^T (|G| + |G||C||G|) y at max S4),
     for the vertex form and windows, the threshold, and the form here and in
-    the test's solve, whose backward error is about eps |G y|^T |C| |G y|.
+    the test, whose computed C^{-1} is off by about eps |G||C||G|.
     """
     g, s4, x3 = mics.c_inv, np.sort(sets[3]), sets[2]
     y = np.stack(np.broadcast_arrays(1.0, sets[0][:, None], sets[1], 0.0, s4[-1]), axis=-1)

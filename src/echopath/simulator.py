@@ -5,8 +5,8 @@ once per wall, via a first-order reflection. In the ray model the reflected
 path has the length of the straight line from the wall's mirror point, so
 simulating an emission reduces to distance computations against the set of
 sound sources (speaker plus mirror points). Travel-distance noise is drawn
-from a counter-keyed generator, which makes every echo set a pure function
-of (scenario, pose, pose index).
+once per emission from a generator keyed by (seed, pose index), which makes
+every echo set a pure function of (scenario, pose, pose index).
 """
 
 from __future__ import annotations
@@ -219,35 +219,24 @@ def ground_truth_sources(s: Scenario, p: Pose) -> list[np.ndarray]:
     return [sources[i] for i in range(len(sources)) if audible[i].any()]
 
 
-def _noise(seed: int, pose_index: int, mic_index: int, source_index: int, sigma: float) -> float:
-    if sigma == 0.0:
-        return 0.0
-    rng = np.random.default_rng((seed, pose_index, mic_index, source_index))
-    return float(rng.standard_normal() * sigma)
-
-
 def generate_echoes(s: Scenario, p: Pose, pose_index: int = 0) -> EchoSet:
     """Squared travel distances seen by each microphone for one emission.
 
-    Only first-order reflections are modelled. Gaussian noise of standard
-    deviation noise_sigma is applied to each travel distance before squaring,
-    keyed by (seed, pose index, microphone index, source index).
+    Only first-order reflections are modelled. Travel distances get Gaussian
+    noise of std noise_sigma before squaring: one standard-normal draw per
+    (source, microphone) pair from a generator keyed by (seed, pose index),
+    made before the audibility mask, so no echo's noise depends on another's.
     """
     sources, audible = source_audibility(s, p)
     mics = world_microphones(s, p)
     dists = np.linalg.norm(sources[:, None, :] - mics[None, :, :], axis=2)
     if np.min(dists) < _MIC_SOURCE_EPS:
         raise DegenerateGeometryError("a microphone coincides with a sound source")
-    d_sets = []
-    for k in range(4):
-        entries = []
-        for i in range(len(sources)):
-            if not audible[i, k]:
-                continue
-            d = dists[i, k] + _noise(s.seed, pose_index, k, i, s.noise_sigma)
-            entries.append(d * d)
-        d_sets.append(tuple(entries))
-    return EchoSet(tuple(d_sets))
+    if s.noise_sigma > 0.0:
+        z = np.random.default_rng((s.seed, pose_index)).standard_normal(dists.shape)
+        dists = dists + z * s.noise_sigma
+    squared = dists * dists
+    return EchoSet(tuple(tuple(squared[audible[:, k], k]) for k in range(4)))
 
 
 def ambiguity_pair(

@@ -181,16 +181,18 @@ def _first_near_duplicate(keys: np.ndarray, rows: np.ndarray, threshold: float):
     """First (row, col) in row-major order with row in rows, col != row and
     ||keys[row] - keys[col]|| <= threshold, or None.
 
-    A hit is within threshold in the first key, so a row's hits lie in a
-    window of the columns sorted on it, padded for rounding and for squares
-    that underflow. Windows are tested in row order, at most _PAIR_BUDGET
-    pairs at a time.
+    A hit is within sqrt(d) * threshold in the sum of its d keys, so a row's
+    hits lie in a window of the columns sorted on that sum, padded for
+    rounding and for squares that underflow. Windows are tested in row
+    order, at most _PAIR_BUDGET pairs at a time.
     """
-    order = np.argsort(keys[:, 0])
-    first, k0 = keys[order, 0], keys[rows, 0]
-    pad = threshold + 8 * np.finfo(float).eps * (np.abs(k0) + threshold) + 1e-150
-    lo = np.searchsorted(first, k0 - pad)
-    counts = np.searchsorted(first, k0 + pad, side="right") - lo
+    total = keys.sum(axis=1)
+    order = np.argsort(total)
+    ordered, own = total[order], total[rows]
+    width = np.sqrt(keys.shape[1]) * threshold
+    pad = width + 8 * np.finfo(float).eps * (np.abs(own) + width) + 1e-150
+    lo = np.searchsorted(ordered, own - pad)
+    counts = np.searchsorted(ordered, own + pad, side="right") - lo
     ends = np.cumsum(counts)  # the pairs of rows[i] are numbered up to ends[i]
     shift = lo - ends + counts  # sorted column of a pair = its number + shift
     start = 0

@@ -189,6 +189,26 @@ def test_cm_polynomial_batch_equals_bordered_determinant():
         assert np.all(np.abs(batch - reference) <= 1e-12 * np.abs(reference))
 
 
+def test_cm_polynomial_batch_rows_do_not_depend_on_the_batch():
+    # A solve with many right-hand sides rounds a column differently from a
+    # solve with one; flat arrays make the difference visible in most rows.
+    rng = np.random.default_rng(51)
+    for _ in range(40):
+        mics = rng.uniform(-0.5, 0.5, (4, 3))
+        mics[:, 2] *= 10 ** rng.uniform(-3.0, -1.0)
+        c = cm_matrix(pairwise_squared_distances(mics))
+        xs = rng.uniform(0.1, 30.0, (64, 4))
+        one_by_one = np.concatenate([cm_polynomial_batch(c, x[None]) for x in xs])
+        assert cm_polynomial_batch(c, xs).tobytes() == one_by_one.tobytes()
+        one_by_one = np.concatenate([_cm_polynomial_gradient(c, x[None]) for x in xs])
+        assert _cm_polynomial_gradient(c, xs).tobytes() == one_by_one.tobytes()
+    square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
+    c = cm_matrix(pairwise_squared_distances(square))
+    for evaluate in (cm_polynomial_batch, _cm_polynomial_gradient):
+        with pytest.raises(DegenerateGeometryError):
+            evaluate(c, np.ones((3, 4)))
+
+
 def test_cm_polynomial_gradient_matches_central_difference():
     rng = np.random.default_rng(48)
     for _ in range(40):

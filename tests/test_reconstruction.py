@@ -254,6 +254,21 @@ def test_echo_match_equals_full_grid_oracle_at_round_off_tolerance(sigma):
         assert np.array_equal(got, full_grid_echo_match(mics, e, 1e-15, sigma))
 
 
+def test_echo_match_equals_full_grid_oracle_on_flat_arrays():
+    # Flat arrays at root_tol 1e-19 to 1e-13 put some |P| within round-off of
+    # the threshold, so the test must give a row the same value in the
+    # window's candidates as in the full grid.
+    rng = np.random.default_rng(70)
+    for i in range(200):
+        mics = rng.uniform(-0.5, 0.5, (4, 3))
+        mics[:, 2] *= 10 ** rng.uniform(-2.0, 0.0)
+        sigma = (0.0, 1e-3)[i % 2]
+        e = noisy_echo_sets(rng, mics, rng.integers(1, 7), rng.integers(0, 5), sigma)
+        root_tol = 10 ** rng.uniform(-19.0, -13.0)
+        got = echo_match(mics, e, root_tol, sigma).delta
+        assert np.array_equal(got, full_grid_echo_match(mics, e, root_tol, sigma))
+
+
 @pytest.fixture
 def polynomial_rows(monkeypatch):
     """Row counts of every cm_polynomial_batch call echo_match makes."""
@@ -763,6 +778,30 @@ def test_noisy_run_succeeds_with_small_errors():
     errors = [r.position_error for r in records if r.status == "success"]
     assert len(errors) == len(poses) - 1
     assert all(0.0 < e < 0.1 for e in errors)
+    assert metrics.fail_count == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the lexicographically least 4-point match fixes the pose "
+    "unverified; here step 5 fails with a PoseInconsistencyError",
+)
+def test_noisy_box_run_succeeds_on_seed_7():
+    scn = Scenario(
+        walls=box_walls(6.0, 5.0, 3.0),
+        speaker=[1.1, 2.3, 1.7],
+        mic_local=tetra_mics(1.0),
+        path=demo_path()[:6],
+        noise_sigma=1e-3,
+        seed=7,
+        occlusion_enabled=False,
+    )
+    from echopath import run
+
+    records, metrics = run(scn)
+    assert [r.fail_reason for r in records] == [None] * len(records)
+    assert all(0.0 < r.position_error < 0.1 for r in records if r.status == "success")
     assert metrics.fail_count == 0
 
 

@@ -126,6 +126,56 @@ def test_noise_keyed_by_pose_and_seed():
     assert base != other_seed
 
 
+def test_noisy_entry_is_the_keyed_draw_added_to_the_distance():
+    # Entry (i, k) is (||s_i - m_k|| + sigma z[i, k])^2, z one (n_sources, 4)
+    # standard-normal draw keyed by (seed, pose index).
+    sigma = 2e-3
+    scn = box_scenario(noise_sigma=sigma, seed=5)
+    for idx in (0, 3, 7):
+        pose = scn.path[idx]
+        sources, _ = source_audibility(scn, pose)
+        mics = world_microphones(scn, pose)
+        z = np.random.default_rng((5, idx)).standard_normal((len(sources), 4))
+        echoes = generate_echoes(scn, pose, idx)
+        for k in range(4):
+            dist = [np.linalg.norm(s - mics[k]) for s in sources]
+            want = (np.array(dist) + sigma * z[:, k]) ** 2
+            np.testing.assert_allclose(echoes.d_sets[k], np.sort(want), rtol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_one_keyed_generator_per_noisy_emission(monkeypatch, sigma):
+    keys = []
+    real = np.random.default_rng
+
+    def counted(seed=None):
+        keys.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    scn = box_scenario(noise_sigma=sigma, seed=5)
+    for idx, pose in enumerate(scn.path):
+        generate_echoes(scn, pose, idx)
+    assert keys == ([(5, idx) for idx in range(len(scn.path))] if sigma > 0.0 else [])
+
+
+def test_occlusion_leaves_the_noise_of_audible_echoes_unchanged():
+    # Noise is drawn for every (source, microphone) pair before the audibility
+    # mask, so dropping occluded echoes does not move the draws of the rest.
+    walls = list(box_walls(6.0, 5.0, 3.0))
+    walls[1] = Wall(walls[1].plane, [[6, 0, 0], [6, 2.5, 0], [6, 2.5, 3], [6, 0, 3]])
+    walls[4] = Wall(walls[4].plane, [[0, 0, 0], [3, 0, 0], [3, 5, 0], [0, 5, 0]])
+    scn = box_scenario(walls=tuple(walls), noise_sigma=1e-3, seed=5)
+    dropped = 0
+    for idx, pose in enumerate(scn.path):
+        heard = generate_echoes(scn.with_overrides(occlusion_enabled=True), pose, idx)
+        every = generate_echoes(scn, pose, idx)
+        for on, off in zip(heard.d_sets, every.d_sets):
+            assert set(on) <= set(off)
+            dropped += len(off) - len(on)
+    assert dropped > 0
+
+
 def test_noiseless_ignores_seed():
     scn = box_scenario()
     a = generate_echoes(scn, scn.path[2], 2)
