@@ -3,11 +3,11 @@
 A distance matrix here is always a symmetric matrix of *squared* Euclidean
 distances with zero diagonal. Bordering such a matrix with a 0/1 row and
 column gives the classical Cayley-Menger matrix C, whose rank encodes the
-affine dimension of the generating points. Everything else is one linear
-solve against C: for columns delta = (1, d) of squared distances to the
-basis points, delta^T C^{-1} delta holds the squared distances between the
-targets (its vanishing diagonal is the echo test), and rows 1..n+1 of
-C^{-1} delta are their barycentric coordinates (multilateration).
+affine dimension of the generating points. Everything else applies C^{-1}
+to columns delta = (1, d) of squared distances to the basis points:
+delta^T C^{-1} delta holds the squared distances between the targets (its
+vanishing diagonal is the echo test), and rows 1..n+1 of C^{-1} delta are
+their barycentric coordinates (multilateration).
 """
 
 from __future__ import annotations
@@ -80,15 +80,6 @@ def _cm_solve(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _echo_columns(c, xs) -> tuple[np.ndarray, np.ndarray]:
-    """The microphones' 5x5 matrix c and the columns y = (1, x) of the rows of xs."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (5, 5):
-        raise ValueError(f"microphone Cayley-Menger matrix must be 5x5, got {c.shape}")
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    return c, np.vstack([np.ones(len(xs)), xs.T])
-
-
 def cm_polynomial(c: np.ndarray, x) -> float:
     """Echo-profile consistency polynomial for four microphones.
 
@@ -97,35 +88,38 @@ def cm_polynomial(c: np.ndarray, x) -> float:
     bordered by (1, x1..x4); it vanishes when x is the squared-distance
     profile of an actual point relative to the microphones.
     """
-    x = np.asarray(x, dtype=float)
+    x, c = np.asarray(x, dtype=float), np.asarray(c, dtype=float)
     if x.shape != (4,):
         raise ValueError("cm_polynomial expects exactly four squared distances")
-    c, y = _echo_columns(c, x)
+    if c.shape != (5, 5):
+        raise ValueError(f"microphone Cayley-Menger matrix must be 5x5, got {c.shape}")
+    y = np.append(1.0, x)[:, None]
     return float(np.linalg.det(np.block([[c, y], [y.T, 0.0]])))
 
 
-def _echo_form(c, xs) -> tuple[float, np.ndarray, np.ndarray]:
-    """det(c), y = (1, x) per row of xs and c^{-1} y summed one column of c^{-1}
-    at a time, so a row rounds alike in any batch (a many-column solve does not)."""
-    c, y = _echo_columns(c, xs)
-    g = _cm_solve(c, np.eye(5))
-    return np.linalg.det(c), y, sum(g[:, j, None] * y[j] for j in range(5))
+def _echo_form(mics, xs) -> tuple[np.ndarray, np.ndarray]:
+    """y = (1, x) per row of xs and G y, with G = mics.c_inv, summed one column
+    of G at a time, so a row rounds alike in any batch (a matrix product does not)."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    y, g = np.vstack([np.ones(len(xs)), xs.T]), mics.c_inv
+    return y, sum(g[:, j, None] * y[j] for j in range(5))
 
 
-def cm_polynomial_batch(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def cm_polynomial_batch(mics, xs: np.ndarray) -> np.ndarray:
     """cm_polynomial over the rows of xs (shape (k, 4)), as a quadratic form.
 
-    With y = (1, x), the bordered determinant equals -det(c) * y^T c^{-1} y
-    (Schur complement of c). A row's value does not depend on the other rows.
+    mics is the run's MicArray, with G = C^{-1} and |det C| = det C = 288 V^2
+    (V the microphones' volume). With y = (1, x) the bordered determinant is
+    -det(C) y^T G y (Schur complement of C); a row's value ignores other rows.
     """
-    det, y, gy = _echo_form(c, xs)
-    return -det * sum(y[i] * gy[i] for i in range(5))
+    y, gy = _echo_form(mics, xs)
+    return -mics.abs_det_c * sum(y[i] * gy[i] for i in range(5))
 
 
-def _cm_polynomial_gradient(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Gradient of cm_polynomial in x at each row of xs: -2 det(c) (c^{-1} y)[1:]."""
-    det, _, gy = _echo_form(c, xs)
-    return -2.0 * det * gy[1:].T
+def _cm_polynomial_gradient(mics, xs: np.ndarray) -> np.ndarray:
+    """Gradient of cm_polynomial_batch(mics, xs) at each row of xs: -2 det(C) (G y)[1:]."""
+    _, gy = _echo_form(mics, xs)
+    return -2.0 * mics.abs_det_c * gy[1:].T
 
 
 def recover_point(basis: np.ndarray, d) -> np.ndarray:

@@ -72,6 +72,13 @@ def _require(cond: bool, where: str, message: str):
         raise ScenarioError(f"{where}: {message}")
 
 
+def _typed(doc: dict, key: str, default, kind: type):
+    """doc[key] or default, of exact type kind: bool("false") is True, int(2.9) is 2."""
+    value = doc.get(key, default)
+    _require(type(value) is kind, key, f"must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def _load_wall(entry, where: str) -> Wall:
     _require(isinstance(entry, dict), where, "expected a mapping with 'normal' and 'offset'")
     _require("normal" in entry and "offset" in entry, where, "needs 'normal' and 'offset'")
@@ -118,7 +125,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"parse error in {path}: {exc}") from exc
     _require(isinstance(doc, dict), str(path), "top level must be a mapping")
 
-    dimension = int(doc.get("dimension", 3))
+    dimension = _typed(doc, "dimension", 3, int)
     walls_doc = doc.get("walls")
     _require(isinstance(walls_doc, list) and walls_doc, "walls", "need a nonempty list")
     walls = tuple(_load_wall(w, f"walls[{i}]") for i, w in enumerate(walls_doc))
@@ -138,9 +145,9 @@ def load_scenario(path) -> Scenario:
             mic_local=mic_local,
             path=path_poses,
             noise_sigma=float(doc.get("noise_sigma", 0.0)),
-            seed=int(doc.get("seed", 0)),
-            occlusion_enabled=bool(doc.get("occlusion", True)),
-            speaker_on_vehicle=bool(doc.get("speaker_on_vehicle", False)),
+            seed=_typed(doc, "seed", 0, int),
+            occlusion_enabled=_typed(doc, "occlusion", True, bool),
+            speaker_on_vehicle=_typed(doc, "speaker_on_vehicle", False, bool),
             dimension=dimension,
         )
     except ValueError as exc:

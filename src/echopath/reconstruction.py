@@ -149,14 +149,14 @@ class MatchStats:
     rank_checks: int = 0
 
 
-def _polynomial_noise_std(c: np.ndarray, grid: np.ndarray, sigma: float) -> np.ndarray:
+def _polynomial_noise_std(mics: MicArray, grid: np.ndarray, sigma: float) -> np.ndarray:
     """Predicted std of the consistency polynomial under travel-distance noise.
 
     Linearizes the polynomial in each squared distance (analytic gradient)
     and propagates independent per-entry noise of std 2*sqrt(x)*sigma + sigma^2.
     """
     entry_std = 2.0 * np.sqrt(grid) * sigma + sigma**2
-    return np.sqrt(np.sum((_cm_polynomial_gradient(c, grid) * entry_std) ** 2, axis=1))
+    return np.sqrt(np.sum((_cm_polynomial_gradient(mics, grid) * entry_std) ** 2, axis=1))
 
 
 # Under noise the echo-root test is widened by this many predicted noise stds.
@@ -172,9 +172,9 @@ def _root_window_grid(mics: MicArray, sets, root_tol, noise_sigma) -> np.ndarray
     windows around its roots. tau bounds the scaled threshold on [min S4,
     max S4]: max(x)^3 and the entry std of x4 peak at max S4, and the
     gradient -2 det C G y is affine in x4, so its entries peak at an end.
-    Rounding adds 16 eps (a z^2 + tau + y^T (|G| + |G||C||G|) y at max S4),
-    for the vertex form and windows, the threshold, and the form here and in
-    the test, whose computed C^{-1} is off by about eps |G||C||G|.
+    Rounding adds 16 eps (a z^2 + tau + y^T |G| y at max S4), for the vertex
+    form and windows, the threshold, and the form here and in the test, which
+    both read the MicArray's G.
     """
     g, s4, x3 = mics.c_inv, np.sort(sets[3]), sets[2]
     y = np.stack(np.broadcast_arrays(1.0, sets[0][:, None], sets[1], 0.0, s4[-1]), axis=-1)
@@ -195,9 +195,7 @@ def _root_window_grid(mics: MicArray, sets, root_tol, noise_sigma) -> np.ndarray
         for row, x in zip(w.transpose(1, 0, 2), (y[:, 1:2], y[:, 2:3], x3, s4[-1])):
             row *= 2.0 * np.sqrt(x) * noise_sigma + noise_sigma**2  # the entry std
         tau += 2.0 * _NOISE_MARGIN * np.sqrt(np.sum(w**2, axis=1))
-    abs_g = np.abs(g)
-    rounding = form(abs_g + abs_g @ np.abs(mics.c) @ abs_g) + a * z**2 + tau
-    tau += 16.0 * np.finfo(float).eps * rounding
+    tau += 16.0 * np.finfo(float).eps * (form(np.abs(g)) + a * z**2 + tau)
     # Only triples whose form reaches -tau in [min S4, max S4] have candidates.
     t = np.flatnonzero(e + tau >= a * (np.clip(z, s4[0], s4[-1]) - z) ** 2)
     z, e, tau = z.ravel()[t], e.ravel()[t], tau.ravel()[t]
@@ -244,10 +242,10 @@ def echo_match(
     if any(s.size == 0 for s in sets):
         return EchoAssignment(np.zeros((4, 0)))
     grid = _root_window_grid(mics, sets, root_tol, noise_sigma)
-    vals = cm_polynomial_batch(mics.c, grid)
+    vals = cm_polynomial_batch(mics, grid)
     threshold = root_tol * np.max(grid, axis=1) ** 3
     if noise_sigma > 0.0:
-        threshold = threshold + _NOISE_MARGIN * _polynomial_noise_std(mics.c, grid, noise_sigma)
+        threshold = threshold + _NOISE_MARGIN * _polynomial_noise_std(mics, grid, noise_sigma)
     cols = np.unique(grid[np.abs(vals) <= threshold], axis=0)
     return EchoAssignment(np.ascontiguousarray(cols.T))
 

@@ -3,6 +3,7 @@ import pytest
 
 from echopath import (
     DegenerateGeometryError,
+    MicArray,
     affine_dimension,
     bordered_rank,
     cm_matrix,
@@ -171,56 +172,52 @@ def test_cm_polynomial_invariant_under_joint_relabeling():
         assert val == pytest.approx(base, rel=1e-9)
 
 
-def random_mic_matrix(rng):
-    """Cayley-Menger matrix of four well-spread, non-coplanar random microphones."""
+def random_mic_array(rng):
+    """MicArray of four well-spread, non-coplanar random microphones."""
     while True:
         mics = rng.uniform(-1, 1, (4, 3))
         if np.linalg.svd(mics[1:] - mics[0], compute_uv=False)[-1] > 0.2:
-            return cm_matrix(pairwise_squared_distances(mics))
+            return MicArray(mics)
 
 
 def test_cm_polynomial_batch_equals_bordered_determinant():
     rng = np.random.default_rng(47)
     for _ in range(40):
-        c = random_mic_matrix(rng)
+        mics = random_mic_array(rng)
         xs = rng.uniform(0.1, 12.0, (6, 4))
-        batch = cm_polynomial_batch(c, xs)
-        reference = np.array([cm_polynomial(c, x) for x in xs])
+        batch = cm_polynomial_batch(mics, xs)
+        reference = np.array([cm_polynomial(mics.c, x) for x in xs])
         assert np.all(np.abs(batch - reference) <= 1e-12 * np.abs(reference))
 
 
 def test_cm_polynomial_batch_rows_do_not_depend_on_the_batch():
-    # A solve with many right-hand sides rounds a column differently from a
-    # solve with one; flat arrays make the difference visible in most rows.
+    # A product with many columns rounds a column differently from a product
+    # with one; flat arrays make the difference visible in most rows.
     rng = np.random.default_rng(51)
     for _ in range(40):
-        mics = rng.uniform(-0.5, 0.5, (4, 3))
-        mics[:, 2] *= 10 ** rng.uniform(-3.0, -1.0)
-        c = cm_matrix(pairwise_squared_distances(mics))
+        local = rng.uniform(-0.5, 0.5, (4, 3))
+        local[:, 2] *= 10 ** rng.uniform(-3.0, -1.0)
+        mics = MicArray(local)
         xs = rng.uniform(0.1, 30.0, (64, 4))
-        one_by_one = np.concatenate([cm_polynomial_batch(c, x[None]) for x in xs])
-        assert cm_polynomial_batch(c, xs).tobytes() == one_by_one.tobytes()
-        one_by_one = np.concatenate([_cm_polynomial_gradient(c, x[None]) for x in xs])
-        assert _cm_polynomial_gradient(c, xs).tobytes() == one_by_one.tobytes()
-    square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
-    c = cm_matrix(pairwise_squared_distances(square))
-    for evaluate in (cm_polynomial_batch, _cm_polynomial_gradient):
-        with pytest.raises(DegenerateGeometryError):
-            evaluate(c, np.ones((3, 4)))
+        one_by_one = np.concatenate([cm_polynomial_batch(mics, x[None]) for x in xs])
+        assert cm_polynomial_batch(mics, xs).tobytes() == one_by_one.tobytes()
+        one_by_one = np.concatenate([_cm_polynomial_gradient(mics, x[None]) for x in xs])
+        assert _cm_polynomial_gradient(mics, xs).tobytes() == one_by_one.tobytes()
 
 
 def test_cm_polynomial_gradient_matches_central_difference():
     rng = np.random.default_rng(48)
     for _ in range(40):
-        c = random_mic_matrix(rng)
+        mics = random_mic_array(rng)
         xs = rng.uniform(0.1, 12.0, (3, 4))
-        grad = _cm_polynomial_gradient(c, xs)
+        grad = _cm_polynomial_gradient(mics, xs)
         assert grad.shape == xs.shape
         for x, g in zip(xs, grad):
             for k in range(4):
                 step = np.zeros(4)
                 step[k] = 1e-3 * x[k]
-                fd = (cm_polynomial(c, x + step) - cm_polynomial(c, x - step)) / (2 * step[k])
+                fd = cm_polynomial(mics.c, x + step) - cm_polynomial(mics.c, x - step)
+                fd /= 2 * step[k]
                 assert abs(fd - g[k]) <= 1e-5 * np.max(np.abs(g))
 
 
@@ -236,7 +233,7 @@ def test_echo_entries_are_squared_distances_shifted_by_the_polynomial():
         xs = rng.uniform(0.1, 12.0, (6, 4))
         lam = np.linalg.solve(c, np.vstack([np.ones(len(xs)), xs.T]))[1:]
         p = lam.T @ mics  # one point per row of xs
-        shift = cm_polynomial_batch(c, xs) / (2.0 * np.linalg.det(c))
+        shift = cm_polynomial_batch(MicArray(mics), xs) / (2.0 * np.linalg.det(c))
         rebuilt = np.sum((p[:, None, :] - mics[None, :, :]) ** 2, axis=2) - shift[:, None]
         assert np.all(np.abs(rebuilt - xs) <= 1e-9 * np.abs(xs))
 

@@ -72,6 +72,26 @@ def test_load_rejects_non_finite_values(scenario_dir, tmp_path, old, new, messag
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("speaker_on_vehicle: false", 'speaker_on_vehicle: "false"'),
+        ("occlusion: false", 'occlusion: "no"'),
+        ("occlusion: false", "occlusion: 0"),
+        ("seed: 20240601", "seed: 2.9"),
+        ("seed: 20240601", "seed: true"),
+        ("dimension: 3", "dimension: 3.7"),
+    ],
+)
+def test_load_rejects_values_of_the_wrong_type(scenario_dir, tmp_path, old, new):
+    # bool("false") is True and int(2.9) is 2: a coerced value would load.
+    path = tmp_path / "typed.yaml"
+    path.write_text((scenario_dir / "box_room.yaml").read_text().replace(old, new, 1))
+    key = old.split(":")[0]
+    with pytest.raises(ScenarioError, match=f"{key}: must be of type (int|bool), got"):
+        load_scenario(path)
+
+
 def test_load_parse_error(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("walls: [unclosed\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import box_scenario, tetra_mics
 
+import echopath.cayley_menger as cayley_menger
 import echopath.reconstruction as reconstruction
 from echopath import (
     DegenerateGeometryError,
@@ -101,9 +102,25 @@ def test_mic_array_holds_read_only_copies():
     assert np.array_equal(mics.c, cm_matrix(pairwise_squared_distances(MICS)))
     assert np.array_equal(mics.c_inv, np.linalg.inv(mics.c))
     assert mics.abs_det_c == abs(np.linalg.det(mics.c))
+    assert np.linalg.det(mics.c) > 0  # 288 V^2: the echo test takes |det C| for det C
     for array in (mics.local, mics.c, mics.c_inv):
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
+
+
+def test_echo_match_solves_nothing_and_reads_the_arrays_inverse(monkeypatch):
+    calls = []
+    real = cayley_menger._cm_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cayley_menger, "_cm_solve", counted)
+    scn = box_scenario(noise_sigma=1e-3, seed=9)
+    echoes = generate_echoes(scn, scn.path[0], 0)
+    assert echo_match(MicArray(scn.mic_local), echoes, noise_sigma=1e-3).n_sources > 0
+    assert len(calls) == 0
 
 
 def test_run_checks_the_microphones_once_and_steps_match_raw_coordinates(monkeypatch):

@@ -18,6 +18,7 @@ from echopath import (
     EchoSet,
     Hyperplane,
     MatchStats,
+    MicArray,
     Pose,
     PoseInconsistencyError,
     Scenario,
@@ -134,13 +135,13 @@ def full_grid_echo_match(mics, e, root_tol, noise_sigma=0.0, noise_margin=8.0):
     if any(s.size == 0 for s in sets):
         return np.zeros((4, 0))
     grid = np.stack(np.meshgrid(*sets, indexing="ij"), axis=-1).reshape(-1, 4)
-    c = cm_matrix(pairwise_squared_distances(mics))
+    mic_array = MicArray(mics)
     threshold = root_tol * np.max(grid, axis=1) ** 3
     if noise_sigma > 0.0:
         entry_std = 2.0 * np.sqrt(grid) * noise_sigma + noise_sigma**2
-        grad = _cm_polynomial_gradient(c, grid)
+        grad = _cm_polynomial_gradient(mic_array, grid)
         threshold = threshold + noise_margin * np.sqrt(np.sum((grad * entry_std) ** 2, axis=1))
-    cols = grid[np.abs(cm_polynomial_batch(c, grid)) <= threshold]
+    cols = grid[np.abs(cm_polynomial_batch(mic_array, grid)) <= threshold]
     if cols.shape[0] == 0:
         return np.zeros((4, 0))
     return np.unique(cols, axis=0).T
@@ -223,17 +224,17 @@ def test_echo_match_keeps_a_noisy_near_ghost_column_just_inside_the_threshold():
     root_tol, sigma = 1e-9, 1e-3
     for _ in range(10):
         mics = random_mics(rng)
-        c = cm_matrix(pairwise_squared_distances(mics))
+        mic_array = MicArray(mics)
         source = mics[1] + rng.uniform(1.0, 3.0) * (mics[1] - mics[0])
         profile = np.sum((mics - source) ** 2, axis=1)
-        grad = _cm_polynomial_gradient(c, profile)[0]
+        grad = _cm_polynomial_gradient(mic_array, profile)[0]
         for inside, factor in ((True, 0.9), (False, 1.1)):
             delta = 0.0
             for _ in range(30):
                 column = profile + delta
                 entry_std = 2.0 * np.sqrt(column) * sigma + sigma**2
                 threshold = root_tol * np.max(column) ** 3 + 8.0 * np.linalg.norm(grad * entry_std)
-                delta = factor * threshold / (2.0 * abs(np.linalg.det(c)))
+                delta = factor * threshold / (2.0 * mic_array.abs_det_c)
             column = profile + delta
             spurious = rng.uniform(0.5, np.sqrt(np.max(column)), (4, 3)) ** 2
             e = EchoSet(tuple(tuple(np.append(sp, x)) for sp, x in zip(spurious, column)))
@@ -262,7 +263,7 @@ def test_echo_match_equals_full_grid_oracle_on_flat_arrays():
     for i in range(200):
         mics = rng.uniform(-0.5, 0.5, (4, 3))
         mics[:, 2] *= 10 ** rng.uniform(-2.0, 0.0)
-        sigma = (0.0, 1e-3)[i % 2]
+        sigma = (0.0, 1e-4, 1e-3, 1e-2)[i % 4]
         e = noisy_echo_sets(rng, mics, rng.integers(1, 7), rng.integers(0, 5), sigma)
         root_tol = 10 ** rng.uniform(-19.0, -13.0)
         got = echo_match(mics, e, root_tol, sigma).delta
@@ -275,9 +276,9 @@ def polynomial_rows(monkeypatch):
     rows = []
     real = reconstruction.cm_polynomial_batch
 
-    def counted(c, xs):
+    def counted(mics, xs):
         rows.append(len(xs))
-        return real(c, xs)
+        return real(mics, xs)
 
     monkeypatch.setattr(reconstruction, "cm_polynomial_batch", counted)
     return rows
