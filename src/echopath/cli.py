@@ -72,18 +72,28 @@ def _require(cond: bool, where: str, message: str):
         raise ScenarioError(f"{where}: {message}")
 
 
-def _typed(doc: dict, key: str, default, kind: type):
-    """doc[key] or default, of exact type kind: bool("false") is True, int(2.9) is 2."""
+def _typed(doc: dict, key: str, default, kind, where: str | None = None):
+    """doc[key] or default, of exact type kind: bool("false") is True, int(2.9) is 2.
+
+    kind is a type or a tuple of types; errors name where, or else key.
+    """
+    kinds = kind if isinstance(kind, tuple) else (kind,)
     value = doc.get(key, default)
-    _require(type(value) is kind, key, f"must be of type {kind.__name__}, got {value!r}")
+    names = " or ".join(k.__name__ for k in kinds)
+    _require(type(value) in kinds, where or key, f"must be of type {names}, got {value!r}")
     return value
+
+
+def _number(doc: dict, key: str, default, where: str | None = None) -> float:
+    """doc[key] or default as a float, from a YAML int or float only (bool is not a number)."""
+    return float(_typed(doc, key, default, (int, float), where))
 
 
 def _load_wall(entry, where: str) -> Wall:
     _require(isinstance(entry, dict), where, "expected a mapping with 'normal' and 'offset'")
     _require("normal" in entry and "offset" in entry, where, "needs 'normal' and 'offset'")
     normal = np.asarray(entry["normal"], dtype=float)
-    offset = float(entry["offset"])
+    offset = _number(entry, "offset", None, f"{where}.offset")
     norm = float(np.linalg.norm(normal))
     _require(norm > 0.0 and np.isfinite(norm), f"{where}.normal", "must be a nonzero vector")
     if abs(norm - 1.0) > 1e-12:
@@ -104,9 +114,7 @@ def _load_pose(entry, where: str) -> Pose:
         a = np.asarray(entry["orientation"], dtype=float)
     else:
         a = rotation_from_yaw_pitch_roll(
-            float(entry.get("yaw", 0.0)),
-            float(entry.get("pitch", 0.0)),
-            float(entry.get("roll", 0.0)),
+            *(_number(entry, key, 0.0, f"{where}.{key}") for key in ("yaw", "pitch", "roll"))
         )
     try:
         return Pose(np.asarray(entry["position"], dtype=float), a)
@@ -144,7 +152,7 @@ def load_scenario(path) -> Scenario:
             speaker=speaker,
             mic_local=mic_local,
             path=path_poses,
-            noise_sigma=float(doc.get("noise_sigma", 0.0)),
+            noise_sigma=_number(doc, "noise_sigma", 0.0),
             seed=_typed(doc, "seed", 0, int),
             occlusion_enabled=_typed(doc, "occlusion", True, bool),
             speaker_on_vehicle=_typed(doc, "speaker_on_vehicle", False, bool),

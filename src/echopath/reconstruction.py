@@ -85,9 +85,22 @@ def _mic_array(mics) -> MicArray:
 
 @dataclass(eq=False)
 class SourceRegistry:
-    """Known sound-source positions, all in the frozen coordinate frame."""
+    """Known sound-source positions, all in the frozen coordinate frame.
 
-    sources: list = field(default_factory=list)
+    Besides the tuple of sources the registry keeps them as the rows of an
+    (n, 3) array and keeps their squared-distance matrix. Sources are only
+    ever appended, so extend() computes the rows of the new points against
+    all points and leaves the rest of the matrix as it is. extend() is the
+    one way to add sources; as_array() and distance_matrix() return
+    read-only views.
+    """
+
+    sources: tuple = ()
+
+    def __post_init__(self):
+        initial, self.sources = self.sources, ()
+        self._points, self._d = np.zeros((0, 3)), np.zeros((0, 0))
+        self.extend(initial)
 
     @property
     def frame_frozen(self) -> bool:
@@ -97,10 +110,44 @@ class SourceRegistry:
     def __len__(self) -> int:
         return len(self.sources)
 
+    def extend(self, points) -> None:
+        """Register points (3-vectors) and their rows of the distance matrix.
+
+        The new rows use the formula of pairwise_squared_distances, so the
+        matrix equals that of all points bit for bit. The buffers grow by
+        doubling, so adding k points costs O(k n) amortized.
+        """
+        new = np.array(points, dtype=float).reshape(-1, 3)
+        n, m = len(self.sources), len(new)
+        if m == 0:
+            return
+        if n + m > len(self._points):
+            cap = 2 * (n + m)
+            points_buf, d_buf = np.empty((cap, 3)), np.empty((cap, cap))
+            points_buf[:n], d_buf[:n, :n] = self._points[:n], self._d[:n, :n]
+            self._points, self._d = points_buf, d_buf
+        self._points[n : n + m] = new
+        diff = new[:, None, :] - self._points[None, : n + m, :]
+        rows = np.einsum("ijk,ijk->ij", diff, diff)
+        np.fill_diagonal(rows[:, n:], 0.0)
+        self._d[n : n + m, : n + m] = rows
+        self._d[:n, n : n + m] = rows[:, :n].T
+        new.flags.writeable = False
+        self.sources += tuple(new)
+
     def as_array(self) -> np.ndarray:
-        if not self.sources:
-            return np.zeros((0, 3))
-        return np.stack(self.sources)
+        """The sources as the rows of a read-only (n, 3) array."""
+        return _read_only(self._points[: len(self.sources)])
+
+    def distance_matrix(self) -> np.ndarray:
+        """Read-only (n, n) matrix of squared distances between the sources."""
+        n = len(self.sources)
+        return _read_only(self._d[:n, :n])
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +361,14 @@ def _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, ii, jj, rank_cache):
         sel = (*ii, i)
         rank = rank_cache.get(sel)
         if rank is None:
-            rank = rank_cache[sel] = bordered_rank(a[np.ix_(sel, sel)], rank_tol)
+            if k == 0 and abs(a[i, i]) <= 1.0 and rank_tol < 0.38:
+                # [[0, 1], [1, a_ii]] has singular values s and 1/s, here
+                # with s <= 1.62, so 1/s > 0.38 s > rank_tol * s: the SVD
+                # would find bordered rank 2 - 2 = 0 = k.
+                rank = 0
+            else:
+                rank = bordered_rank(a[np.ix_(sel, sel)], rank_tol)
+            rank_cache[sel] = rank
             if stats is not None:
                 stats.rank_checks += 1
         if rank != k:
@@ -404,7 +458,7 @@ def update_sources(b, delta, registry: SourceRegistry, dedup_eps: float = 1e-3) 
     for t in points[far]:
         if not new or np.all(np.linalg.norm(np.stack(new) - t, axis=1) > dedup_eps):
             new.append(t)
-    registry.sources.extend(new)
+    registry.extend(new)
     return new
 
 
@@ -448,8 +502,7 @@ def locate_step(
             new = update_sources(mics.local, assignment.delta, state, dedup_eps)
             return LocateResult("success", pose=None, new_sources=tuple(new))
         known = state.as_array()
-        d_known = pairwise_squared_distances(known)
-        found = match_submatrices(d_detected, d_known, 4, eq_tol, rank_tol)
+        found = match_submatrices(d_detected, state.distance_matrix(), 4, eq_tol, rank_tol)
         if found is None:
             return LocateResult("fail", fail_reason="no_match")
         i_idx, j_idx = found

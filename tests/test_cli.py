@@ -6,7 +6,7 @@ from conftest import box_scenario, tetra_mics
 
 from echopath import ScenarioError, export, load_scenario, run
 from echopath.cli import _rotation_angle, main, to_frozen_frame
-from echopath.simulator import Pose, Scenario
+from echopath.simulator import Pose, Scenario, rotation_from_yaw_pitch_roll
 from echopath.geometry import Hyperplane, Wall
 
 
@@ -90,6 +90,35 @@ def test_load_rejects_values_of_the_wrong_type(scenario_dir, tmp_path, old, new)
     key = old.split(":")[0]
     with pytest.raises(ScenarioError, match=f"{key}: must be of type (int|bool), got"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("noise_sigma: 0.0", "noise_sigma: true", "noise_sigma"),
+        ("noise_sigma: 0.0", 'noise_sigma: "0.001"', "noise_sigma"),
+        ("offset: 0.0}", "offset: false}", r"walls\[0\].offset"),
+        ("yaw: 0.4", 'yaw: "0.4"', r"path\[1\].yaw"),
+    ],
+)
+def test_load_rejects_numbers_given_as_bools_or_strings(scenario_dir, tmp_path, old, new, key):
+    # float(True) is 1.0 and float("0.001") is 0.001: a coerced value would load.
+    path = tmp_path / "typed.yaml"
+    path.write_text((scenario_dir / "box_room.yaml").read_text().replace(old, new, 1))
+    with pytest.raises(ScenarioError, match=f"{key}: must be of type int or float, got"):
+        load_scenario(path)
+
+
+def test_load_accepts_integer_numbers(scenario_dir, tmp_path):
+    text = (scenario_dir / "box_room.yaml").read_text()
+    text = text.replace("offset: 6.0}", "offset: 6}").replace("yaw: 0.4,", "yaw: 1,")
+    path = tmp_path / "ints.yaml"
+    path.write_text(text.replace("noise_sigma: 0.0", "noise_sigma: 0"))
+    scn = load_scenario(path)
+    reference = load_scenario(scenario_dir / "box_room.yaml")
+    assert scn.walls[1].plane.offset == reference.walls[1].plane.offset == 6.0
+    assert scn.noise_sigma == 0.0
+    assert np.allclose(scn.path[1].A, rotation_from_yaw_pitch_roll(1.0, -0.1, 0.05))
 
 
 def test_load_parse_error(tmp_path):

@@ -10,6 +10,7 @@ from conftest import (
     box_walls,
     brute_force_match,
     demo_path,
+    random_rotation,
     tetra_mics,
 )
 
@@ -510,6 +511,25 @@ def test_match_submatrices_equals_backtracking_with_nonzero_diagonal(r):
         assert match_submatrices(a, b, r, 1.0) == backtracking_match(a, b, r, 1.0)
 
 
+@pytest.mark.parametrize("rank_tol", [1e-6, 1e-3, 0.5])
+def test_match_submatrices_one_row_rank_agrees_with_svd(rank_tol):
+    # One row's bordered block [[0, 1], [1, a_ii]] has singular values s and
+    # 1/s, so the SVD finds rank 2 only while rank_tol * s^2 < 1: a large
+    # diagonal entry or a large rank_tol rejects the row.
+    rng = np.random.default_rng(int(-np.log10(rank_tol)))
+    diagonal = [0.0, 0.5, 3.0, 40.0, 2e3, 5e4]
+    for _ in range(10):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(2, 21))
+        a = rng.integers(0, 4, (m, m)).astype(float)
+        b = rng.integers(0, 4, (n, n)).astype(float)
+        a, b = np.triu(a) + np.triu(a, 1).T, np.triu(b) + np.triu(b, 1).T
+        np.fill_diagonal(a, rng.choice(diagonal, m))
+        np.fill_diagonal(b, rng.choice(diagonal, n))
+        for r in (1, 2):
+            want = backtracking_match(a, b, r, 1.0, rank_tol)
+            assert match_submatrices(a, b, r, 1.0, rank_tol) == want
+
+
 def test_match_submatrices_releases_its_arguments():
     # With the cyclic collector off, a reference cycle inside the search
     # would keep b alive after the call returns.
@@ -678,6 +698,76 @@ def test_update_sources_matches_sequential_reference_on_near_duplicates():
         assert all(np.array_equal(a, s) for a, s in zip(added, registry.sources[before:]))
 
 
+def _assert_registry_matrix_is_a_rebuild(registry):
+    points = registry.as_array()
+    assert np.array_equal(points, np.array(registry.sources).reshape(-1, 3))
+    assert np.array_equal(registry.distance_matrix(), pairwise_squared_distances(points))
+
+
+def test_registry_matrix_equals_rebuild_over_random_appends():
+    rng = np.random.default_rng(71)
+    eps = 1e-3
+    b = np.vstack([np.zeros(3), np.eye(3)])
+    for _ in range(100):
+        registry = SourceRegistry()
+        for _ in range(rng.integers(1, 10)):
+            targets = list(rng.uniform(-6, 6, (rng.integers(0, 8), 3)))
+            # Some targets lie 0.5 or 1.5 dedup_eps from a registered source:
+            # the first are dropped, the second registered next to it.
+            for _ in range(rng.integers(0, 4) if len(registry) else 0):
+                step = rng.standard_normal(3)
+                scale = eps * rng.choice([0.5, 1.5])
+                near = registry.sources[rng.integers(len(registry))]
+                targets.append(near + scale * step / np.linalg.norm(step))
+            if not targets:
+                continue
+            delta = np.array([[np.sum((t - p) ** 2) for t in targets] for p in b])
+            update_sources(b, delta, registry, eps)
+            _assert_registry_matrix_is_a_rebuild(registry)
+
+
+def test_registry_built_from_an_initial_list():
+    rng = np.random.default_rng(72)
+    initial = [rng.uniform(-3, 3, 3) for _ in range(9)]
+    registry = SourceRegistry(initial)
+    assert len(registry) == 9 and registry.frame_frozen
+    assert all(np.array_equal(s, p) for s, p in zip(registry.sources, initial))
+    _assert_registry_matrix_is_a_rebuild(registry)
+    registry.extend(rng.uniform(-3, 3, (4, 3)))
+    _assert_registry_matrix_is_a_rebuild(registry)
+    empty = SourceRegistry()
+    assert empty.as_array().shape == (0, 3) and empty.distance_matrix().shape == (0, 0)
+
+
+def test_registry_arrays_are_read_only():
+    registry = SourceRegistry([np.zeros(3), np.ones(3)])
+    for view in (registry.as_array(), registry.distance_matrix(), registry.sources[0]):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 5.0
+    with pytest.raises(AttributeError):
+        registry.sources.append(np.ones(3))
+    _assert_registry_matrix_is_a_rebuild(registry)
+
+
+def test_failed_steps_leave_registry_points_and_matrix_unchanged():
+    scn = noisy_box_run_scenario()
+    registry, fails = SourceRegistry(), 0
+    for idx, pose in enumerate(scn.path):
+        snapshot = copy.deepcopy(registry)
+        echoes = generate_echoes(scn, pose, idx)
+        result = locate_step(registry, scn.mic_local, echoes, noise_sigma=scn.noise_sigma)
+        if result.status == "fail":
+            fails += 1
+            assert len(registry.sources) == len(snapshot.sources)
+            for got, want in zip(registry.sources, snapshot.sources):
+                assert np.array_equal(got, want)
+            assert np.array_equal(registry.as_array(), snapshot.as_array())
+            assert np.array_equal(registry.distance_matrix(), snapshot.distance_matrix())
+        _assert_registry_matrix_is_a_rebuild(registry)
+    assert fails > 0 and len(registry) > 100
+
+
 def test_locate_step_three_sources_fail_coplanar():
     scn = Scenario(
         walls=(Wall(Hyperplane([1, 0, 0], 0.0)), Wall(Hyperplane([0, 1, 0], 0.0))),
@@ -759,6 +849,73 @@ def test_full_path_replay_adds_no_sources():
     assert result.status == "success"
     assert result.new_sources == ()
     assert len(registry) == size
+
+
+def noisy_box_run_scenario() -> Scenario:
+    """32 random poses in a 6 x 5 x 3 m box at sigma = 1 mm.
+
+    Ghost sources grow the registry past 160 sources; three steps fail.
+    """
+    rng = np.random.default_rng(1)
+    path = tuple(
+        Pose(rng.uniform([1.2, 1.2, 0.9], [4.8, 3.8, 2.1]), random_rotation(rng))
+        for _ in range(32)
+    )
+    return Scenario(
+        walls=box_walls(6.0, 5.0, 3.0),
+        speaker=[1.1, 2.3, 1.7],
+        mic_local=tetra_mics(1.0),
+        path=path,
+        noise_sigma=1e-3,
+        seed=0,
+        occlusion_enabled=False,
+    )
+
+
+def test_noisy_run_is_the_same_with_a_rebuilt_registry_matrix(monkeypatch):
+    from echopath import run
+
+    def outcome(records):
+        return [
+            (
+                r.status,
+                r.fail_reason,
+                r.n_sources_known,
+                r.n_sources_new,
+                None if r.est_pose is None else r.est_pose.v.tobytes() + r.est_pose.A.tobytes(),
+            )
+            for r in records
+        ]
+
+    scn = noisy_box_run_scenario()
+    cached, _ = run(scn)
+    monkeypatch.setattr(
+        SourceRegistry,
+        "distance_matrix",
+        lambda self: pairwise_squared_distances(self.as_array()),
+    )
+    rebuilt, _ = run(scn)
+    assert len(cached) >= 30
+    assert cached[-1].n_sources_known + cached[-1].n_sources_new > 100
+    assert outcome(cached) == outcome(rebuilt)
+
+
+def test_locate_step_does_not_rebuild_the_registry_matrix(monkeypatch):
+    scn = box_scenario()
+    registry = SourceRegistry()
+    locate_step(registry, scn.mic_local, generate_echoes(scn, scn.path[0], 0))
+    registry.extend(np.random.default_rng(5).uniform(20.0, 30.0, (20, 3)))  # never matched
+    n = len(registry)
+    rows = []
+
+    def counting(points):
+        rows.append(len(points))
+        return pairwise_squared_distances(points)
+
+    monkeypatch.setattr(reconstruction, "pairwise_squared_distances", counting)
+    result = locate_step(registry, scn.mic_local, generate_echoes(scn, scn.path[1], 1))
+    assert result.status == "success"
+    assert n >= 20 and n not in rows
 
 
 def test_noisy_run_succeeds_with_small_errors():
