@@ -62,12 +62,19 @@ def bordered_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of the bordered matrix minus 2.
 
     For the squared-distance matrix of a point set this equals the affine
-    dimension of the set. Rank uses singular values above tol * sigma_max.
+    dimension of the set. m is first divided by its largest |entry| s, which
+    leaves the exact rank as it is, border(m / s) = diag(s, I) border(m)
+    diag(1, I / s), and makes the verdict independent of the units: rank
+    counts singular values of border(m / s) above tol * sigma_max.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("bordered_rank expects a square matrix")
-    return _numerical_rank(border(m), tol) - 2
+    out = np.ones((m.shape[0] + 1, m.shape[0] + 1))
+    out[0, 0] = 0.0
+    scale = np.abs(m).max(initial=0.0)
+    np.divide(m, scale if scale > 0.0 else 1.0, out=out[1:, 1:])
+    return _numerical_rank(out, tol) - 2
 
 
 def _cm_solve(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -99,10 +106,12 @@ def cm_polynomial(c: np.ndarray, x) -> float:
 
 def _echo_form(mics, xs) -> tuple[np.ndarray, np.ndarray]:
     """y = (1, x) per row of xs and G y, with G = mics.c_inv, summed one column
-    of G at a time, so a row rounds alike in any batch (a matrix product does not)."""
+    of G at a time (a cumulative sum), so a row rounds alike in any batch (a
+    matrix product does not)."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    y, g = np.vstack([np.ones(len(xs)), xs.T]), mics.c_inv
-    return y, sum(g[:, j, None] * y[j] for j in range(5))
+    y = np.empty((5, len(xs)))
+    y[0], y[1:] = 1.0, xs.T
+    return y, np.cumsum(mics.c_inv[:, :, None] * y, axis=1)[:, -1]
 
 
 def cm_polynomial_batch(mics, xs: np.ndarray) -> np.ndarray:
@@ -113,7 +122,7 @@ def cm_polynomial_batch(mics, xs: np.ndarray) -> np.ndarray:
     -det(C) y^T G y (Schur complement of C); a row's value ignores other rows.
     """
     y, gy = _echo_form(mics, xs)
-    return -mics.abs_det_c * sum(y[i] * gy[i] for i in range(5))
+    return -mics.abs_det_c * np.cumsum(y * gy, axis=0)[-1]
 
 
 def _cm_polynomial_gradient(mics, xs: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ class ScenarioError(ValueError):
     """A scenario file could not be parsed or violates an invariant."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RunRecord:
     """Outcome of one emission: estimate, ground truth and bookkeeping."""
 

@@ -171,7 +171,7 @@ def _numerical_rank(m: np.ndarray, tol: float) -> int:
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.count_nonzero(s > tol * s[0]))
 
 
 def affine_dimension(points, tol: float = DEFAULT_RANK_TOL) -> int:

@@ -208,6 +208,9 @@ def _polynomial_noise_std(mics: MicArray, grid: np.ndarray, sigma: float) -> np.
 
 # Under noise the echo-root test is widened by this many predicted noise stds.
 _NOISE_MARGIN = 8.0
+# Adds x3 to row 2 of (x1, x2, 0, max S4), the entries of rows 1-4 of G y.
+_X3_ROW = np.array([[0.0], [0.0], [1.0], [0.0]])
+_EPS = np.finfo(float).eps
 
 
 def _root_window_grid(mics: MicArray, sets, root_tol, noise_sigma) -> np.ndarray:
@@ -224,25 +227,28 @@ def _root_window_grid(mics: MicArray, sets, root_tol, noise_sigma) -> np.ndarray
     both read the MicArray's G.
     """
     g, s4, x3 = mics.c_inv, np.sort(sets[3]), sets[2]
-    y = np.stack(np.broadcast_arrays(1.0, sets[0][:, None], sets[1], 0.0, s4[-1]), axis=-1)
+    y = np.empty((sets[0].size, sets[1].size, 5))
+    y[...] = (1.0, 0.0, 0.0, 0.0, s4[-1])
+    y[:, :, 1], y[:, :, 2] = sets[0][:, None], sets[1]
     y = y.reshape(-1, 5)  # rows (1, x1, x2, 0, max S4), one per (x1, x2) pair
 
-    def form(m):  # y^T m y over the triples, as (x1, x2) pairs by x3
-        my = y @ m
+    def form(m, my):  # y^T m y over the triples, as (x1, x2) pairs by x3; my = y @ m
         return np.sum(y * my, axis=1)[:, None] + x3 * (2.0 * my[:, 3:4] + m[3, 3] * x3)
 
     a = -g[4, 4]
     gy = y @ g  # G y per pair, less its x3 part
     z = s4[-1] + (gy[:, 4:] + g[4, 3] * x3) / a  # where (G y)_4, half the x4 slope, is 0
-    e = form(g) + a * (s4[-1] - z) ** 2  # the form is e - a (x4 - z)^2
-    tau = root_tol * np.maximum(np.max(y[:, 1:], axis=1)[:, None], x3) ** 3 / mics.abs_det_c
+    e = form(g, gy) + a * (s4[-1] - z) ** 2  # the form is e - a (x4 - z)^2
+    k = root_tol / mics.abs_det_c  # max(x)^3 is the larger cube of a pair's and x3's maxima
+    tau = np.maximum(k * y[:, 1:].max(axis=1, keepdims=True) ** 3, k * x3**3)
     if noise_sigma > 0.0:
         high = gy[:, 1:, None] + g[1:, 3, None] * x3  # rows 1-4 of G y at x4 = max S4
         w = np.maximum(np.abs(high), np.abs(high - g[1:, 4, None] * (s4[-1] - s4[0])))
-        for row, x in zip(w.transpose(1, 0, 2), (y[:, 1:2], y[:, 2:3], x3, s4[-1])):
-            row *= 2.0 * np.sqrt(x) * noise_sigma + noise_sigma**2  # the entry std
+        x = y[:, 1:, None] + _X3_ROW * x3  # the entries (x1, x2, x3, max S4) of those rows
+        w *= 2.0 * np.sqrt(x) * noise_sigma + noise_sigma**2  # the entry std
         tau += 2.0 * _NOISE_MARGIN * np.sqrt(np.sum(w**2, axis=1))
-    tau += 16.0 * np.finfo(float).eps * (form(np.abs(g)) + a * z**2 + tau)
+    abs_g = np.abs(g)
+    tau += 16.0 * _EPS * (form(abs_g, y @ abs_g) + a * z**2 + tau)
     # Only triples whose form reaches -tau in [min S4, max S4] have candidates.
     t = np.flatnonzero(e + tau >= a * (np.clip(z, s4[0], s4[-1]) - z) ** 2)
     z, e, tau = z.ravel()[t], e.ravel()[t], tau.ravel()[t]
@@ -293,8 +299,11 @@ def echo_match(
     threshold = root_tol * np.max(grid, axis=1) ** 3
     if noise_sigma > 0.0:
         threshold = threshold + _NOISE_MARGIN * _polynomial_noise_std(mics, grid, noise_sigma)
-    cols = np.unique(grid[np.abs(vals) <= threshold], axis=0)
-    return EchoAssignment(np.ascontiguousarray(cols.T))
+    cols = grid[np.abs(vals) <= threshold]
+    cols = cols[np.lexsort(cols.T[::-1])]  # rows in lexicographic order
+    distinct = np.ones(len(cols), dtype=bool)
+    distinct[1:] = np.any(cols[1:] != cols[:-1], axis=1)
+    return EchoAssignment(np.ascontiguousarray(cols[distinct].T))
 
 
 def detected_distance_matrix(mics, a: EchoAssignment) -> np.ndarray:
@@ -361,13 +370,14 @@ def _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, ii, jj, rank_cache):
         sel = (*ii, i)
         rank = rank_cache.get(sel)
         if rank is None:
-            if k == 0 and abs(a[i, i]) <= 1.0 and rank_tol < 0.38:
-                # [[0, 1], [1, a_ii]] has singular values s and 1/s, here
-                # with s <= 1.62, so 1/s > 0.38 s > rank_tol * s: the SVD
-                # would find bordered rank 2 - 2 = 0 = k.
+            if k == 0 and rank_tol < 0.38:
+                # bordered_rank scales a_ii to 0 or +-1, and [[0, 1], [1, t]]
+                # with |t| <= 1 has singular values s and 1/s with s <= 1.62,
+                # so 1/s > 0.38 s > rank_tol * s: rank 2 - 2 = 0 = k.
                 rank = 0
             else:
-                rank = bordered_rank(a[np.ix_(sel, sel)], rank_tol)
+                idx = np.array(sel)
+                rank = bordered_rank(a[idx[:, None], idx], rank_tol)
             rank_cache[sel] = rank
             if stats is not None:
                 stats.rank_checks += 1
@@ -409,7 +419,7 @@ def self_locate(mic_local, b, delta_cols, ortho_tol: float = 1e-6) -> Pose:
     mics_world = recover_point(b, delta_cols.T)  # columns are the microphone positions
     m = np.vstack([mic_local.T, np.ones((1, 4))])  # nonsingular: the mics span 3-d
     av = np.linalg.solve(m.T, mics_world.T).T
-    rot, v = av[:, :3], av[:, 3]
+    rot, v = av[:, :3].copy(), av[:, 3].copy()  # a pose keeps no view of the solve
     defect = float(np.max(np.abs(rot.T @ rot - np.eye(3))))
     if not defect <= ortho_tol:  # a non-finite defect fails too
         raise PoseInconsistencyError(
@@ -453,11 +463,14 @@ def update_sources(b, delta, registry: SourceRegistry, dedup_eps: float = 1e-3) 
     points = recover_point(b, delta).T
     known = registry.as_array()
     gaps = np.linalg.norm(points[:, None, :] - known[None, :, :], axis=2)  # (m, n)
-    far = np.all(gaps > dedup_eps, axis=1)
-    new = []
-    for t in points[far]:
-        if not new or np.all(np.linalg.norm(np.stack(new) - t, axis=1) > dedup_eps):
-            new.append(t)
+    far = points[np.all(gaps > dedup_eps, axis=1)]
+    # Greedy pass: a far point is new unless it is close to an earlier new one.
+    apart = (np.linalg.norm(far[:, None, :] - far[None, :, :], axis=2) > dedup_eps).tolist()
+    kept = []
+    for t, row in enumerate(apart):
+        if all(row[k] for k in kept):
+            kept.append(t)
+    new = list(far[kept])
     registry.extend(new)
     return new
 
@@ -477,11 +490,12 @@ def locate_step(
 
     Every threshold follows from noise_sigma, the std of the travel-distance
     noise. At zero they are tight enough for exact arithmetic. Under noise
-    they are calibrated for meter-scale rooms: the echo-root test is widened
-    per column (see echo_match), matching and rank tolerances are wide enough
-    for noise-perturbed source geometry, the dedup radius lies above the
-    per-source position scatter, and a loose orthogonality gate still rejects
-    false matches.
+    the echo-root test is widened per column (see echo_match), matching and
+    rank tolerances are wide enough for noise-perturbed source geometry, the
+    dedup radius lies above the per-source position scatter, and a loose
+    orthogonality gate still rejects false matches. The rank test is
+    scale-free (see bordered_rank); the distance-equality tolerance (m^2) and
+    the dedup radius (m) are absolute, calibrated for rooms of a few metres.
 
     mic_local is a MicArray or the microphones' local coordinates; a run
     passes one MicArray to every step. A bad microphone array or noise level

@@ -41,7 +41,7 @@ def rotation_from_yaw_pitch_roll(yaw: float, pitch: float, roll: float) -> np.nd
     return rz @ ry @ rx
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Pose:
     """Vehicle state: center-of-mass position v and orientation matrix A.
 

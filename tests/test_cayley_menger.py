@@ -113,6 +113,26 @@ def test_rank_identity_on_exactly_degenerate_sets():
     assert bordered_rank(pairwise_squared_distances(collinear)) == 1
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_bordered_rank_does_not_depend_on_the_units(scale):
+    # border(s d) = diag(s, I) border(d) diag(1, I / s) has the rank of
+    # border(d), so kilometres, metres and millimetres give one verdict.
+    rng = np.random.default_rng(43)
+    line = rng.uniform(-3, 3, 3)
+    sets = {
+        1: [rng.uniform(-3, 3, (2, 3)), np.outer([0.0, 1.0, 2.5], line)],
+        2: [rng.uniform(-3, 3, (3, 3)), np.column_stack([rng.uniform(-3, 3, (4, 2)), np.zeros(4)])],
+        3: [rng.uniform(-3, 3, (4, 3)), np.vstack([np.zeros(3), np.eye(3)])],
+    }
+    sets[1].append(np.outer([0.0, 1.0, -2.0, 4.0], line))
+    for dim, point_sets in sets.items():
+        for pts in point_sets:
+            d = pairwise_squared_distances(pts)
+            assert bordered_rank(d) == dim
+            assert bordered_rank(scale * d) == dim
+            assert bordered_rank(scale * d, 1e-3) == dim
+
+
 def test_rank_identity_exact_arithmetic():
     sympy = pytest.importorskip("sympy")
     pts = np.array([[0, 0, 0], [2, 0, 0], [0, 3, 0], [2, 3, 0], [1, 1, 4]])
@@ -203,6 +223,20 @@ def test_cm_polynomial_batch_rows_do_not_depend_on_the_batch():
         assert cm_polynomial_batch(mics, xs).tobytes() == one_by_one.tobytes()
         one_by_one = np.concatenate([_cm_polynomial_gradient(mics, x[None]) for x in xs])
         assert _cm_polynomial_gradient(mics, xs).tobytes() == one_by_one.tobytes()
+
+
+def test_cm_polynomial_batch_adds_its_terms_in_order():
+    # The reference adds one term at a time in Python; the cumulative sums
+    # must round exactly as it does.
+    rng = np.random.default_rng(52)
+    for k in (1, 2, 64, 1000):
+        mics = random_mic_array(rng)
+        xs = rng.uniform(0.1, 30.0, (k, 4))
+        y, g = np.vstack([np.ones(k), xs.T]), mics.c_inv
+        gy = sum(g[:, j, None] * y[j] for j in range(5))
+        want = -mics.abs_det_c * sum(y[i] * gy[i] for i in range(5))
+        assert np.array_equal(cm_polynomial_batch(mics, xs), want)
+        assert np.array_equal(_cm_polynomial_gradient(mics, xs), -2.0 * mics.abs_det_c * gy[1:].T)
 
 
 def test_cm_polynomial_gradient_matches_central_difference():

@@ -1,6 +1,7 @@
 import copy
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +41,13 @@ from echopath import (
     world_microphones,
 )
 from echopath import reconstruction
-from echopath.cayley_menger import _cm_polynomial_gradient, cm_matrix, cm_polynomial_batch
+from echopath.cayley_menger import (
+    _cm_polynomial_gradient,
+    border,
+    cm_matrix,
+    cm_polynomial_batch,
+)
+from echopath.geometry import _numerical_rank
 from echopath.cli import to_frozen_frame
 
 MICS = tetra_mics()
@@ -317,6 +324,32 @@ def test_echo_match_on_degenerate_sets_equals_oracle(sigma, root_tol, polynomial
                 assert sum(polynomial_rows) <= np.prod([len(s) for s in e.d_sets])
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_echo_match_merges_repeated_rows_as_the_oracle_does(sigma, monkeypatch):
+    # EchoSet merges equal entries, so a plain object carries the repeats: one
+    # set lists each value twice, and every grid row through it comes twice.
+    grids = []
+    real = reconstruction.cm_polynomial_batch
+
+    def recorded(mics, xs):
+        grids.append(xs)
+        return real(mics, xs)
+
+    monkeypatch.setattr(reconstruction, "cm_polynomial_batch", recorded)
+    rng = np.random.default_rng(68)
+    for k in range(4):
+        mics = random_mics(rng)
+        sets = list(noisy_echo_sets(rng, mics, 4, 3, sigma).d_sets)
+        sets[k] = tuple(rng.permutation(sets[k] * 2))
+        e = SimpleNamespace(d_sets=tuple(sets))
+        del grids[:]
+        got = echo_match(mics, e, 1e-9, sigma).delta
+        want = full_grid_echo_match(mics, e, 1e-9, sigma)
+        assert len(np.unique(grids[0], axis=0)) < len(grids[0])
+        assert got.shape == want.shape and got.shape[1] >= 4
+        assert np.array_equal(got, want)
+
+
 def test_echo_match_tests_under_a_tenth_of_the_grid_under_noise(polynomial_rows):
     rng = np.random.default_rng(65)
     grid = 0
@@ -513,9 +546,9 @@ def test_match_submatrices_equals_backtracking_with_nonzero_diagonal(r):
 
 @pytest.mark.parametrize("rank_tol", [1e-6, 1e-3, 0.5])
 def test_match_submatrices_one_row_rank_agrees_with_svd(rank_tol):
-    # One row's bordered block [[0, 1], [1, a_ii]] has singular values s and
-    # 1/s, so the SVD finds rank 2 only while rank_tol * s^2 < 1: a large
-    # diagonal entry or a large rank_tol rejects the row.
+    # Scaled, one row's bordered block is [[0, 1], [1, t]] with t in {0, +-1},
+    # of singular values s and 1/s with s <= 1.62: a rank_tol above 0.38
+    # rejects the row, a large diagonal entry no longer does.
     rng = np.random.default_rng(int(-np.log10(rank_tol)))
     diagonal = [0.0, 0.5, 3.0, 40.0, 2e3, 5e4]
     for _ in range(10):
@@ -939,28 +972,112 @@ def test_noisy_run_succeeds_with_small_errors():
     assert metrics.fail_count == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: the lexicographically least 4-point match fixes the pose "
-    "unverified; here step 5 fails with a PoseInconsistencyError",
-)
-def test_noisy_box_run_succeeds_on_seed_7():
+def noisy_box_run(seed):
+    """The noisy six-pose box run at one seed, and its records and metrics."""
     scn = Scenario(
         walls=box_walls(6.0, 5.0, 3.0),
         speaker=[1.1, 2.3, 1.7],
         mic_local=tetra_mics(1.0),
         path=demo_path()[:6],
         noise_sigma=1e-3,
-        seed=7,
+        seed=seed,
         occlusion_enabled=False,
     )
     from echopath import run
 
-    records, metrics = run(scn)
+    return run(scn)
+
+
+def test_noisy_box_run_succeeds_on_seed_7():
+    records, metrics = noisy_box_run(7)
     assert [r.fail_reason for r in records] == [None] * len(records)
     assert all(0.0 < r.position_error < 0.1 for r in records if r.status == "success")
     assert metrics.fail_count == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: the lexicographically least 4-point match fixes the pose "
+    "unverified; here step 5 fails with a PoseInconsistencyError",
+)
+def test_noisy_box_run_succeeds_on_seed_6():
+    records, metrics = noisy_box_run(6)
+    assert [r.fail_reason for r in records] == [None] * len(records)
+    assert all(0.0 < r.position_error < 0.1 for r in records if r.status == "success")
+    assert metrics.fail_count == 0
+
+
+BOX_CENTRE = np.array([3.0, 2.5, 1.5])
+
+
+def scaled_box_scenario(scale, noise_sigma=0.0, seed=20240601, scale_mics=False):
+    """The six-pose box run (tetrahedron of edge 1 m) in a box scaled by scale.
+
+    The poses keep their offsets from the box centre, or with scale_mics the
+    whole scene, microphones and poses included, is scaled about the origin.
+    """
+    poses = demo_path()[:6]
+    if scale_mics:
+        path = tuple(Pose(scale * p.v, p.A) for p in poses)
+    else:
+        path = tuple(Pose(p.v + (scale - 1.0) * BOX_CENTRE, p.A) for p in poses)
+    return Scenario(
+        walls=box_walls(6.0 * scale, 5.0 * scale, 3.0 * scale),
+        speaker=scale * np.array([1.1, 2.3, 1.7]),
+        mic_local=tetra_mics(scale if scale_mics else 1.0),
+        path=path,
+        noise_sigma=noise_sigma,
+        seed=seed,
+        occlusion_enabled=False,
+    )
+
+
+@pytest.mark.parametrize("scale", [10.0, 100.0])
+def test_noiseless_run_is_exact_in_a_scaled_box(scale):
+    # A rank threshold on unscaled squared distances rejects every 4-point
+    # prefix here, and every step after bootstrap FAILs with no_match.
+    from echopath import run
+
+    records, metrics = run(scaled_box_scenario(scale))
+    assert records[0].status == "bootstrap"
+    assert [r.status for r in records[1:]] == ["success"] * (len(records) - 1)
+    assert metrics.max_position_error <= 1e-6
+    assert all(r.orientation_error <= 1e-6 for r in records[1:])
+
+
+def unit_dependent_bordered_rank(m, tol):
+    """The rank of border(m) itself, whose verdict depends on the units of m."""
+    return _numerical_rank(border(m), tol) - 2
+
+
+def test_noisy_step_in_a_10x_box_matches_after_few_rank_checks(monkeypatch):
+    scn = scaled_box_scenario(10.0, noise_sigma=1e-3, seed=3, scale_mics=True)
+    mics = MicArray(scn.mic_local)
+    registry = SourceRegistry()
+    bootstrap = locate_step(registry, mics, generate_echoes(scn, scn.path[0], 0), 1e-3)
+    assert bootstrap.status == "success"
+    echoes = generate_echoes(scn, scn.path[1], 1)
+    searches = []
+    search = reconstruction.match_submatrices
+
+    def counted(*args, **kwargs):
+        stats = MatchStats()
+        searches.append((search(*args, stats=stats, **kwargs), stats))
+        return searches[-1][0]
+
+    monkeypatch.setattr(reconstruction, "match_submatrices", counted)
+    with monkeypatch.context() as patched:
+        patched.setattr(reconstruction, "bordered_rank", unit_dependent_bordered_rank)
+        failed = locate_step(copy.deepcopy(registry), mics, echoes, 1e-3)
+    result = locate_step(registry, mics, echoes, 1e-3)
+    (_, exhaustive), (found, stats) = searches
+    assert failed.fail_reason == "no_match"
+    assert result.status == "success" and found is not None
+    truth = to_frozen_frame(scn.path[0], scn.path[1])
+    assert np.linalg.norm(result.pose.v - truth.v) < 0.1
+    # 5 rank checks to the match here, against 14 to exhaust the search.
+    assert 0 < 2 * stats.rank_checks < exhaustive.rank_checks
 
 
 def test_run_passes_noise_level_to_locate_step():
