@@ -26,7 +26,7 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"point must be a 1-d coordinate array, got shape {p.shape}")
     if dim is not None and p.shape[0] != dim:
         raise ValueError(f"point has dimension {p.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point coordinates must be finite")
     return p
 

@@ -13,10 +13,11 @@ One locate step consumes the echo sets of a single emission and runs:
 4. bootstrap or matching: the first usable emission freezes the vehicle
    frame and stores the detected sources in it; later emissions match four
    detected sources against the registry by submatrix search;
-5. self-location: multilaterate the microphones from the four matched
-   reference points and factor the result into orientation and position;
-6. knowledge update: express all detected sources in the frozen frame and
-   register the ones not seen before.
+5. self-location: place the detected sources in the vehicle frame, once,
+   from the microphones' Cayley-Menger matrix, and fit the orientation and
+   position that map the four matched sources onto their references;
+6. knowledge update: map all detected sources into the frozen frame with
+   that pose and register the ones not seen before.
 
 Any internal failure is reported as a FAIL result with a diagnostic tag and
 leaves the registry untouched.
@@ -34,14 +35,13 @@ from .cayley_menger import (
     cm_matrix,
     cm_polynomial_batch,
     mutual_distances,
-    recover_point,
 )
 from .geometry import (
     DegenerateGeometryError,
     affine_dimension,
     pairwise_squared_distances,
 )
-from .simulator import EchoSet, Pose
+from .simulator import _IDENTITY, EchoSet, Pose
 
 
 class PoseInconsistencyError(RuntimeError):
@@ -76,6 +76,17 @@ class MicArray:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "abs_det_c", abs(float(np.linalg.det(c))))
+
+    def positions(self, delta) -> np.ndarray:
+        """Vehicle-frame positions of sources at squared distances delta from the microphones.
+
+        delta[k, j] is the squared distance from microphone k to source j.
+        Rows 1-4 of C^{-1} (1, delta_j) are the barycentric coordinates of
+        source j with respect to the microphones, so placing all sources is
+        one product and needs no solve. Returns one row per source.
+        """
+        weights = self.c_inv[1:, :1] + self.c_inv[1:, 1:] @ delta
+        return weights.T @ self.local
 
 
 def _mic_array(mics) -> MicArray:
@@ -224,31 +235,30 @@ def _root_window_grid(mics: MicArray, sets, root_tol, noise_sigma) -> np.ndarray
     gradient -2 det C G y is affine in x4, so its entries peak at an end.
     Rounding adds 16 eps (a z^2 + tau + y^T |G| y at max S4), for the vertex
     form and windows, the threshold, and the form here and in the test, which
-    both read the MicArray's G.
+    both read the MicArray's G. Every entry of y is positive, so y^T |G| y is
+    at most max|G| (sum y)^2, which the pad takes in its place.
     """
     g, s4, x3 = mics.c_inv, np.sort(sets[3]), sets[2]
     y = np.empty((sets[0].size, sets[1].size, 5))
     y[...] = (1.0, 0.0, 0.0, 0.0, s4[-1])
     y[:, :, 1], y[:, :, 2] = sets[0][:, None], sets[1]
     y = y.reshape(-1, 5)  # rows (1, x1, x2, 0, max S4), one per (x1, x2) pair
-
-    def form(m, my):  # y^T m y over the triples, as (x1, x2) pairs by x3; my = y @ m
-        return np.sum(y * my, axis=1)[:, None] + x3 * (2.0 * my[:, 3:4] + m[3, 3] * x3)
-
     a = -g[4, 4]
     gy = y @ g  # G y per pair, less its x3 part
     z = s4[-1] + (gy[:, 4:] + g[4, 3] * x3) / a  # where (G y)_4, half the x4 slope, is 0
-    e = form(g, gy) + a * (s4[-1] - z) ** 2  # the form is e - a (x4 - z)^2
-    k = root_tol / mics.abs_det_c  # max(x)^3 is the larger cube of a pair's and x3's maxima
-    tau = np.maximum(k * y[:, 1:].max(axis=1, keepdims=True) ** 3, k * x3**3)
+    # y^T G y over the triples, as (x1, x2) pairs by x3, is e - a (x4 - z)^2.
+    e = np.einsum("ij,ij->i", y, gy)[:, None] + x3 * (2.0 * gy[:, 3:4] + g[3, 3] * x3)
+    e += a * (s4[-1] - z) ** 2
+    # max(x)^3 is the cube of the larger of a pair's maximum and x3.
+    tau = (root_tol / mics.abs_det_c) * np.maximum(y[:, 1:].max(axis=1, keepdims=True), x3) ** 3
     if noise_sigma > 0.0:
         high = gy[:, 1:, None] + g[1:, 3, None] * x3  # rows 1-4 of G y at x4 = max S4
         w = np.maximum(np.abs(high), np.abs(high - g[1:, 4, None] * (s4[-1] - s4[0])))
         x = y[:, 1:, None] + _X3_ROW * x3  # the entries (x1, x2, x3, max S4) of those rows
         w *= 2.0 * np.sqrt(x) * noise_sigma + noise_sigma**2  # the entry std
         tau += 2.0 * _NOISE_MARGIN * np.sqrt(np.sum(w**2, axis=1))
-    abs_g = np.abs(g)
-    tau += 16.0 * _EPS * (form(abs_g, y @ abs_g) + a * z**2 + tau)
+    y_sum = y.sum(axis=1, keepdims=True) + x3
+    tau += 16.0 * _EPS * (np.abs(g).max() * y_sum**2 + a * z**2 + tau)
     # Only triples whose form reaches -tau in [min S4, max S4] have candidates.
     t = np.flatnonzero(e + tau >= a * (np.clip(z, s4[0], s4[-1]) - z) ** 2)
     z, e, tau = z.ravel()[t], e.ravel()[t], tau.ravel()[t]
@@ -375,6 +385,15 @@ def _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, ii, jj, rank_cache):
                 # with |t| <= 1 has singular values s and 1/s with s <= 1.62,
                 # so 1/s > 0.38 s > rank_tol * s: rank 2 - 2 = 0 = k.
                 rank = 0
+            elif k == 1 and rank_tol < 0.38 and a[ii[0], ii[0]] == 0.0 == a[i, i]:
+                # A zero-diagonal pair block scales to [[0, s], [s, 0]] with
+                # s = +-1, bordered [[0, 1, 1], [1, 0, s], [1, s, 0]] with
+                # eigenvalues 2, -1, -1 (s = 1) or -2, 1, 1 (s = -1): singular
+                # values 2, 1, 1 and 1 > 0.38 * 2, so rank 3 - 2 = 1. With d = 0
+                # the block stays 0, bordered of rank 2: rank 0 (the SVD's third
+                # value is round-off, 6e-17 of 1.4, so it agrees for any
+                # rank_tol above 1e-16).
+                rank = int(a[ii[0], i] != 0.0)
             else:
                 idx = np.array(sel)
                 rank = bordered_rank(a[idx[:, None], idx], rank_tol)
@@ -405,22 +424,29 @@ def self_locate(mic_local, b, delta_cols, ortho_tol: float = 1e-6) -> Pose:
 
     b holds the four reference points (rows, frozen frame) and delta_cols the
     squared microphone-to-reference distances with delta_cols[k, j] the
-    distance from microphone k to reference j. Multilaterating each
-    microphone from the references and factoring against the local microphone
-    coordinates yields (A | v); A must come out orthogonal, anything else
-    means the match was wrong or noise dominates. mic_local is a MicArray or
-    the microphones' local coordinates.
+    distance from microphone k to reference j. The references are placed in
+    the vehicle frame (MicArray.positions), and one 4x4 solve gives the
+    affine map (A | v) that takes them onto b. A must come out orthogonal;
+    anything else means the match was wrong or noise dominates. An exactly
+    singular fit, as from coincident references, raises
+    DegenerateGeometryError. mic_local is a MicArray or the microphones'
+    local coordinates.
     """
-    mic_local = _mic_array(mic_local).local
+    mics = _mic_array(mic_local)
     b = np.asarray(b, dtype=float)
     delta_cols = np.asarray(delta_cols, dtype=float)
     if b.shape != (4, 3) or delta_cols.shape != (4, 4):
         raise ValueError("self_locate expects 4x3 points and a 4x4 distance block")
-    mics_world = recover_point(b, delta_cols.T)  # columns are the microphone positions
-    m = np.vstack([mic_local.T, np.ones((1, 4))])  # nonsingular: the mics span 3-d
-    av = np.linalg.solve(m.T, mics_world.T).T
-    rot, v = av[:, :3].copy(), av[:, 3].copy()  # a pose keeps no view of the solve
-    defect = float(np.max(np.abs(rot.T @ rot - np.eye(3))))
+    if not np.isfinite(delta_cols).all():
+        raise PoseInconsistencyError("reference distances must be finite")
+    local = np.ones((4, 4))
+    local[:, :3] = mics.positions(delta_cols)  # row j: (p_j, 1), with A p_j + v = b_j
+    try:
+        av = np.linalg.solve(local, b)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateGeometryError("reference points do not span the space") from exc
+    rot, v = av[:3].T, av[3]
+    defect = float(abs(rot.T @ rot - _IDENTITY).max())
     if not defect <= ortho_tol:  # a non-finite defect fails too
         raise PoseInconsistencyError(
             f"recovered orientation deviates from orthogonal by {defect:.3e}"
@@ -448,22 +474,21 @@ def pose_to_euler(a) -> tuple[float, float, float]:
     return yaw, float(pitch), roll
 
 
-def update_sources(b, delta, registry: SourceRegistry, dedup_eps: float = 1e-3) -> list:
-    """Express detected sources via reference points and register unseen ones.
+def update_sources(points, registry: SourceRegistry, dedup_eps: float = 1e-3) -> list:
+    """Register the points (rows, frozen frame) that are not seen before.
 
-    delta[j, k] is the squared distance from reference point b_j to detected
-    source k. Sources closer than dedup_eps to a registered one (or to an
-    earlier new source) are treated as already known. Returns the list of
-    newly added points; the registry is extended in place.
+    A point closer than dedup_eps to a registered source (or to an earlier
+    new point) is treated as already known. Returns the list of newly added
+    points; the registry is extended in place.
     """
-    b = np.asarray(b, dtype=float)
-    delta = np.atleast_2d(np.asarray(delta, dtype=float))
-    if b.shape != (4, 3) or delta.shape[0] != 4:
-        raise ValueError("update_sources expects 4 reference points and 4 x m distances")
-    points = recover_point(b, delta).T
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError("update_sources expects points as the rows of an (m, 3) array")
     known = registry.as_array()
     gaps = np.linalg.norm(points[:, None, :] - known[None, :, :], axis=2)  # (m, n)
     far = points[np.all(gaps > dedup_eps, axis=1)]
+    if not len(far):
+        return []
     # Greedy pass: a far point is new unless it is close to an earlier new one.
     apart = (np.linalg.norm(far[:, None, :] - far[None, :, :], axis=2) > dedup_eps).tolist()
     kept = []
@@ -483,10 +508,13 @@ def locate_step(
 ) -> LocateResult:
     """Run one full locate step against the registry (which it may extend).
 
-    The first call with at least four non-coplanar detected sources seeds the
-    registry in the vehicle frame of that moment and returns success without
-    a pose; later calls return the pose in that frozen frame. On failure the
-    registry is left exactly as it was.
+    The detected sources are placed once in the vehicle frame of the
+    emission (MicArray.positions). The first call with at least four
+    non-coplanar detected sources registers them as they are, which freezes
+    that frame, and returns success without a pose. Later calls fit the pose
+    on four matched sources (self_locate), return it in the frozen frame and
+    map every detected source through it before registering the unseen ones.
+    On failure the registry is left exactly as it was.
 
     Every threshold follows from noise_sigma, the std of the travel-distance
     noise. At zero they are tight enough for exact arithmetic. Under noise
@@ -512,17 +540,17 @@ def locate_step(
         d_detected = detected_distance_matrix(mics, assignment)
         if bordered_rank(d_detected, rank_tol) < 3:
             return LocateResult("fail", fail_reason="coplanar_sources")
+        points = mics.positions(assignment.delta)  # the vehicle frame
         if len(state) == 0:
-            new = update_sources(mics.local, assignment.delta, state, dedup_eps)
+            new = update_sources(points, state, dedup_eps)
             return LocateResult("success", pose=None, new_sources=tuple(new))
-        known = state.as_array()
         found = match_submatrices(d_detected, state.distance_matrix(), 4, eq_tol, rank_tol)
         if found is None:
             return LocateResult("fail", fail_reason="no_match")
         i_idx, j_idx = found
-        refs = known[list(j_idx)]
+        refs = state.as_array()[list(j_idx)]
         pose = self_locate(mics, refs, assignment.delta[:, list(i_idx)], ortho_tol)
-        new = update_sources(refs, d_detected[list(i_idx), :], state, dedup_eps)
+        new = update_sources(points @ pose.A.T + pose.v, state, dedup_eps)
         return LocateResult("success", pose=pose, new_sources=tuple(new))
     except (DegenerateGeometryError, PoseInconsistencyError) as exc:
         return LocateResult("fail", fail_reason=f"{type(exc).__name__}: {exc}")

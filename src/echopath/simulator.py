@@ -11,7 +11,9 @@ every echo set a pure function of (scenario, pose, pose index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import FrozenInstanceError, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +30,9 @@ from .geometry import (
 
 ORTHOGONALITY_TOL = 1e-9
 _MIC_SOURCE_EPS = 1e-9
+# A^T A - I is an orientation's orthogonality defect.
+_IDENTITY = np.eye(3)
+_IDENTITY.flags.writeable = False
 
 
 def rotation_from_yaw_pitch_roll(yaw: float, pitch: float, roll: float) -> np.ndarray:
@@ -41,30 +46,48 @@ def rotation_from_yaw_pitch_roll(yaw: float, pitch: float, roll: float) -> np.nd
     return rz @ ry @ rx
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Pose:
     """Vehicle state: center-of-mass position v and orientation matrix A.
 
     A must be orthogonal; its columns are the vehicle's principal axes
-    expressed in the surrounding frame.
+    expressed in the surrounding frame. A pose is a frozen value holding one
+    (4, 3) array of its own, A in rows 0-2 and v in row 3, so a run's records
+    keep one array per pose; v and A are views of it.
     """
 
-    v: np.ndarray
-    A: np.ndarray
-    ortho_tol: float = ORTHOGONALITY_TOL
+    __slots__ = ("_av", "ortho_tol")
 
-    def __post_init__(self):
-        v = as_point(self.v, 3)
-        a = np.asarray(self.A, dtype=float)
+    def __init__(self, v, A, ortho_tol: float = ORTHOGONALITY_TOL):
+        v = as_point(v, 3)
+        a = np.asarray(A, dtype=float)
         if a.shape != (3, 3):
             raise ValueError(f"orientation matrix must be 3x3, got {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("orientation matrix must be finite")
-        defect = np.max(np.abs(a.T @ a - np.eye(3)))
-        if defect > self.ortho_tol:
+        defect = abs(a.T @ a - _IDENTITY).max()
+        if defect > ortho_tol:
             raise ValueError(f"orientation matrix is not orthogonal (defect {defect:.2e})")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "A", a)
+        av = np.empty((4, 3))
+        av[:3], av[3] = a, v
+        object.__setattr__(self, "_av", av)
+        object.__setattr__(self, "ortho_tol", ortho_tol)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return Pose, (self.v, self.A, self.ortho_tol)
+
+    def __repr__(self) -> str:
+        return f"Pose(v={self.v!r}, A={self.A!r}, ortho_tol={self.ortho_tol!r})"
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._av[3]
+
+    @property
+    def A(self) -> np.ndarray:
+        return self._av[:3]
 
 
 @dataclass(frozen=True)
@@ -78,10 +101,11 @@ class EchoSet:
             raise ValueError("an echo set holds one distance set per microphone (4)")
         cleaned = []
         for entries in self.d_sets:
-            vals = tuple(sorted(set(float(x) for x in entries)))
-            if any(not np.isfinite(x) or x <= 0.0 for x in vals):
+            vals = sorted(set(np.asarray(entries, dtype=float).tolist()))
+            # Without a NaN the list is in order, so its first entry is the least.
+            if vals and not (vals[0] > 0.0 and all(map(math.isfinite, vals))):
                 raise ValueError("echo entries must be positive and finite")
-            cleaned.append(vals)
+            cleaned.append(tuple(vals))
         object.__setattr__(self, "d_sets", tuple(cleaned))
 
     def __len__(self) -> int:
@@ -147,6 +171,13 @@ class Scenario:
     def with_overrides(self, **kwargs) -> "Scenario":
         return replace(self, **kwargs)
 
+    @cached_property
+    def _fixed_image_sources(self) -> np.ndarray:
+        """image_sources of the fixed speaker, read-only, computed on first use."""
+        sources = image_sources(self.walls, speaker_position(self, None))
+        sources.flags.writeable = False
+        return sources
+
 
 def world_microphones(s: Scenario, p: Pose) -> np.ndarray:
     """Microphone positions A @ m_k + v for the given pose, one row each."""
@@ -170,6 +201,13 @@ def image_sources(walls, speaker) -> np.ndarray:
     return np.stack([spk] + [mirror_point(w, spk) for w in walls])
 
 
+def _emission_sources(s: Scenario, p: Pose) -> np.ndarray:
+    """image_sources of the emission at pose p; a fixed speaker's are the scenario's own."""
+    if s.speaker_on_vehicle:
+        return image_sources(s.walls, speaker_position(s, p))
+    return s._fixed_image_sources
+
+
 def _reflection_audible(wall: Wall, mic: np.ndarray, mirror: np.ndarray) -> bool:
     # The echo exists when the segment microphone -> mirror point crosses the
     # wall's polygon (the actual reflection point lies on the finite wall).
@@ -183,6 +221,22 @@ def _reflection_audible(wall: Wall, mic: np.ndarray, mirror: np.ndarray) -> bool
     return point_in_polygon(basis @ hit, wall.boundary @ basis.T)
 
 
+def _emission(s: Scenario, p: Pose) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sources, world microphones and audibility of the emission at pose p."""
+    if s.mic_local is None:
+        raise ValueError("scenario has no microphones")
+    sources = _emission_sources(s, p)
+    mics = world_microphones(s, p)
+    audible = np.ones((len(sources), 4), dtype=bool)
+    if s.occlusion_enabled:
+        for wi, wall in enumerate(s.walls):
+            if not wall.bounded:
+                continue  # unbounded plane: occlusion test forced off
+            for k in range(4):
+                audible[1 + wi, k] = _reflection_audible(wall, mics[k], sources[1 + wi])
+    return sources, mics, audible
+
+
 def source_audibility(s: Scenario, p: Pose) -> tuple[np.ndarray, np.ndarray]:
     """Sound sources for the emission and their per-microphone audibility.
 
@@ -192,18 +246,7 @@ def source_audibility(s: Scenario, p: Pose) -> tuple[np.ndarray, np.ndarray]:
     reflections are subject to the occlusion test when the wall is bounded
     and occlusion is enabled.
     """
-    if s.mic_local is None:
-        raise ValueError("scenario has no microphones")
-    spk = speaker_position(s, p)
-    sources = image_sources(s.walls, spk)
-    mics = world_microphones(s, p)
-    audible = np.ones((len(sources), 4), dtype=bool)
-    if s.occlusion_enabled:
-        for wi, wall in enumerate(s.walls):
-            if not wall.bounded:
-                continue  # unbounded plane: occlusion test forced off
-            for k in range(4):
-                audible[1 + wi, k] = _reflection_audible(wall, mics[k], sources[1 + wi])
+    sources, _, audible = _emission(s, p)
     return sources, audible
 
 
@@ -214,7 +257,7 @@ def ground_truth_sources(s: Scenario, p: Pose) -> list[np.ndarray]:
     speaker and every mirror point.
     """
     if s.mic_local is None or not s.occlusion_enabled or not any(w.bounded for w in s.walls):
-        return list(image_sources(s.walls, speaker_position(s, p)))
+        return list(_emission_sources(s, p))
     sources, audible = source_audibility(s, p)
     return [sources[i] for i in range(len(sources)) if audible[i].any()]
 
@@ -227,16 +270,15 @@ def generate_echoes(s: Scenario, p: Pose, pose_index: int = 0) -> EchoSet:
     (source, microphone) pair from a generator keyed by (seed, pose index),
     made before the audibility mask, so no echo's noise depends on another's.
     """
-    sources, audible = source_audibility(s, p)
-    mics = world_microphones(s, p)
+    sources, mics, audible = _emission(s, p)
     dists = np.linalg.norm(sources[:, None, :] - mics[None, :, :], axis=2)
-    if np.min(dists) < _MIC_SOURCE_EPS:
+    if dists.min() < _MIC_SOURCE_EPS:
         raise DegenerateGeometryError("a microphone coincides with a sound source")
     if s.noise_sigma > 0.0:
         z = np.random.default_rng((s.seed, pose_index)).standard_normal(dists.shape)
         dists = dists + z * s.noise_sigma
     squared = dists * dists
-    return EchoSet(tuple(tuple(squared[audible[:, k], k]) for k in range(4)))
+    return EchoSet(tuple(squared[audible[:, k], k] for k in range(4)))
 
 
 def ambiguity_pair(

@@ -18,6 +18,7 @@ from echopath import (
     ground_truth_sources,
     locate_step,
     pairwise_squared_distances,
+    recover_point,
     run,
     self_locate,
     world_microphones,
@@ -121,6 +122,42 @@ def test_echo_match_solves_nothing_and_reads_the_arrays_inverse(monkeypatch):
     echoes = generate_echoes(scn, scn.path[0], 0)
     assert echo_match(MicArray(scn.mic_local), echoes, noise_sigma=1e-3).n_sources > 0
     assert len(calls) == 0
+
+
+def test_positions_equal_multilateration_from_the_microphones():
+    rng = np.random.default_rng(12)
+    mics = MicArray(MICS)
+    points = rng.uniform(-4.0, 4.0, (30, 3))
+    delta = pairwise_squared_distances(np.vstack([MICS, points]))[:4, 4:]
+    placed = mics.positions(delta)
+    assert placed.shape == (30, 3)
+    assert np.max(np.abs(placed - recover_point(MICS, delta).T)) <= 1e-12
+    assert np.max(np.abs(placed - points)) <= 1e-12
+    assert mics.positions(np.zeros((4, 0))).shape == (0, 3)
+
+
+def test_located_step_solves_once_and_multilaterates_nothing(monkeypatch):
+    scn = box_scenario()
+    mics = MicArray(scn.mic_local)
+    registry = SourceRegistry()
+    assert locate_step(registry, mics, generate_echoes(scn, scn.path[0], 0)).status == "success"
+    solves, recovered = [], []
+    real_solve, real_recover = cayley_menger._cm_solve, cayley_menger.recover_point
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    def counted_recover(*args, **kwargs):
+        recovered.append(1)
+        return real_recover(*args, **kwargs)
+
+    monkeypatch.setattr(cayley_menger, "_cm_solve", counted_solve)
+    monkeypatch.setattr(cayley_menger, "recover_point", counted_recover)
+    result = locate_step(registry, mics, generate_echoes(scn, scn.path[1], 1))
+    assert result.status == "success" and result.pose is not None
+    assert len(solves) == 1  # in mutual_distances
+    assert not recovered and not hasattr(reconstruction, "recover_point")
 
 
 def test_run_checks_the_microphones_once_and_steps_match_raw_coordinates(monkeypatch):

@@ -44,6 +44,7 @@ from echopath import reconstruction
 from echopath.cayley_menger import (
     _cm_polynomial_gradient,
     border,
+    bordered_rank,
     cm_matrix,
     cm_polynomial_batch,
 )
@@ -563,6 +564,24 @@ def test_match_submatrices_one_row_rank_agrees_with_svd(rank_tol):
             assert match_submatrices(a, b, r, 1.0, rank_tol) == want
 
 
+@pytest.mark.parametrize("rank_tol", [1e-6, 1e-3, 0.3])
+def test_match_submatrices_two_row_rank_agrees_with_svd(rank_tol):
+    # A pair of zero-diagonal rows has bordered rank 1 when its off-diagonal
+    # entry is nonzero, else 0; the search decides it without an SVD.
+    rng = np.random.default_rng(int(-np.log10(rank_tol)) + 20)
+    for d in [0.0, 1e-300, 1e-9, 0.5, 3.0, 7e8, -2.0, *rng.uniform(-50.0, 50.0, 20)]:
+        assert bordered_rank(np.array([[0.0, d], [d, 0.0]]), rank_tol) == int(d != 0.0)
+    for _ in range(20):
+        m, n = int(rng.integers(3, 9)), int(rng.integers(3, 21))
+        a = rng.integers(0, 3, (m, m)).astype(float)  # off-diagonal zeros included
+        b = rng.integers(0, 3, (n, n)).astype(float)
+        a, b = np.triu(a, 1) + np.triu(a, 1).T, np.triu(b, 1) + np.triu(b, 1).T
+        for r in (2, 3):
+            assert match_submatrices(a, b, r, 1.0, rank_tol) == backtracking_match(
+                a, b, r, 1.0, rank_tol
+            )
+
+
 def test_match_submatrices_releases_its_arguments():
     # With the cyclic collector off, a reference cycle inside the search
     # would keep b alive after the call returns.
@@ -614,10 +633,46 @@ def test_self_locate_yaw_and_translation():
     assert np.allclose(got.v, pose.v, atol=1e-8)
 
 
+def multilaterated_pose(mic_local, b, delta_cols):
+    """(A, v) by multilaterating the microphones from the references.
+
+    The oracle of self_locate: recover_point places each microphone in the
+    frozen frame and one solve factors the result against mic_local.
+    """
+    mics_world = recover_point(b, np.asarray(delta_cols).T)
+    m = np.vstack([np.asarray(mic_local).T, np.ones((1, 4))])
+    av = np.linalg.solve(m.T, mics_world.T).T
+    return av[:, :3], av[:, 3]
+
+
+def test_self_locate_equals_the_multilateration_oracle_on_exact_data():
+    rng = np.random.default_rng(42)
+    mics = MicArray(MICS)
+    for _ in range(200):
+        pose = Pose(rng.uniform(-3.0, 3.0, 3), random_rotation(rng))
+        # Well-spread references: a jittered tetrahedron of edge about 4 m.
+        refs = tetra_mics(4.0) @ random_rotation(rng).T + rng.uniform(-0.5, 0.5, (4, 3))
+        world = MICS @ pose.A.T + pose.v
+        delta = pairwise_squared_distances(np.vstack([world, refs]))[:4, 4:]
+        got = self_locate(mics, refs, delta)
+        rot, v = multilaterated_pose(MICS, refs, delta)
+        assert np.max(np.abs(got.A - rot)) <= 1e-12
+        assert np.max(np.abs(got.v - v)) <= 1e-12
+        assert np.max(np.abs(got.A - pose.A)) <= 1e-12
+        assert np.max(np.abs(got.v - pose.v)) <= 1e-12
+
+
 def test_self_locate_rejects_coplanar_references():
     flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
     with pytest.raises(DegenerateGeometryError):
         self_locate(MICS, flat, np.ones((4, 4)))
+    # Two references at the same distances from every microphone coincide in
+    # the vehicle frame, so the fit is singular.
+    refs = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0], [2.0, 2.0, 2.0]])
+    delta = pairwise_squared_distances(np.vstack([MICS, refs]))[:4, 4:]
+    delta[:, 3] = delta[:, 2]
+    with pytest.raises(DegenerateGeometryError):
+        self_locate(MICS, refs, delta)
 
 
 def test_self_locate_flags_inconsistent_distances():
@@ -631,8 +686,9 @@ def test_self_locate_flags_inconsistent_distances():
         self_locate(scn.mic_local, sources, delta, ortho_tol=1e-6)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_self_locate_flags_non_finite_orientation(bad):
+    # pytest turns a RuntimeWarning into an error, so none may be raised.
     scn = box_scenario()
     pose = Pose([1.0, 2.0, 1.0], np.eye(3))
     sources = np.stack(ground_truth_sources(scn, pose))[[0, 1, 3, 5]]
@@ -678,9 +734,9 @@ def test_update_sources_dedup():
     b = np.vstack([np.zeros(3), np.eye(3)])
     target = np.array([0.5, 0.25, 2.0])
     delta = np.array([[np.sum((target - p) ** 2)] for p in b])
-    added = update_sources(b, delta, registry)
+    added = update_sources(recover_point(b, delta).T, registry)
     assert len(added) == 1 and np.allclose(added[0], target, atol=1e-9)
-    again = update_sources(b, delta, registry)
+    again = update_sources(recover_point(b, delta).T, registry)
     assert again == []
     assert len(registry) == 1
 
@@ -690,7 +746,7 @@ def test_update_sources_first_call_uses_vehicle_frame():
     pose = scn.path[1]
     registry = SourceRegistry()
     assignment = echo_match(scn.mic_local, generate_echoes(scn, pose, 1), 1e-9)
-    update_sources(scn.mic_local, assignment.delta, registry)
+    update_sources(recover_point(scn.mic_local, assignment.delta).T, registry)
     stored = registry.as_array()
     world = np.stack(ground_truth_sources(scn, pose))
     frozen = (world - pose.v) @ pose.A  # world -> vehicle coordinates
@@ -724,7 +780,7 @@ def test_update_sources_matches_sequential_reference_on_near_duplicates():
                 known.append(t)
                 expected.append(t)
         before = len(registry)
-        added = update_sources(b, delta, registry, eps)
+        added = update_sources(recover_point(b, delta).T, registry, eps)
         assert len(added) == len(expected)
         assert all(np.array_equal(a, w) for a, w in zip(added, expected))
         assert len(registry) == before + len(expected)
@@ -755,7 +811,7 @@ def test_registry_matrix_equals_rebuild_over_random_appends():
             if not targets:
                 continue
             delta = np.array([[np.sum((t - p) ** 2) for t in targets] for p in b])
-            update_sources(b, delta, registry, eps)
+            update_sources(recover_point(b, delta).T, registry, eps)
             _assert_registry_matrix_is_a_rebuild(registry)
 
 
@@ -995,14 +1051,21 @@ def test_noisy_box_run_succeeds_on_seed_7():
     assert metrics.fail_count == 0
 
 
+def test_noisy_box_run_succeeds_on_seed_6():
+    records, metrics = noisy_box_run(6)
+    assert [r.fail_reason for r in records] == [None] * len(records)
+    assert all(0.0 < r.position_error < 0.1 for r in records if r.status == "success")
+    assert metrics.fail_count == 0
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
     reason="ROADMAP item 3: the lexicographically least 4-point match fixes the pose "
-    "unverified; here step 5 fails with a PoseInconsistencyError",
+    "unverified; here step 5 fails with a PoseInconsistencyError (defect about 52)",
 )
-def test_noisy_box_run_succeeds_on_seed_6():
-    records, metrics = noisy_box_run(6)
+def test_noisy_box_run_succeeds_on_seed_15():
+    records, metrics = noisy_box_run(15)
     assert [r.fail_reason for r in records] == [None] * len(records)
     assert all(0.0 < r.position_error < 0.1 for r in records if r.status == "success")
     assert metrics.fail_count == 0

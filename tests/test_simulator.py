@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from conftest import box_scenario, box_walls, random_rotation, tetra_mics
@@ -108,6 +111,42 @@ def test_generate_echoes_count_four_vertical_walls():
     scn = box_scenario(walls=walls)
     echoes = generate_echoes(scn, scn.path[1], 1)
     assert all(len(s) == 5 for s in echoes.d_sets)
+
+
+def per_pose_echoes(s, p, pose_index):
+    """The echo set from image sources built at the pose: the oracle of the cached path."""
+    sources = image_sources(s.walls, speaker_position(s, p))
+    _, audible = source_audibility(s, p)
+    mics = world_microphones(s, p)
+    dists = np.linalg.norm(sources[:, None, :] - mics[None, :, :], axis=2)
+    if s.noise_sigma > 0.0:
+        z = np.random.default_rng((s.seed, pose_index)).standard_normal(dists.shape)
+        dists = dists + z * s.noise_sigma
+    squared = dists * dists
+    return EchoSet(tuple(tuple(squared[audible[:, k], k]) for k in range(4)))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_fixed_speaker_echoes_equal_the_per_pose_image_sources(sigma):
+    scn = box_scenario(noise_sigma=sigma, seed=4)
+    assert "_fixed_image_sources" not in vars(scn)  # set-up does not build them
+    for idx, pose in enumerate(scn.path):
+        assert generate_echoes(scn, pose, idx).d_sets == per_pose_echoes(scn, pose, idx).d_sets
+    kept = vars(scn)["_fixed_image_sources"]
+    assert np.array_equal(kept, image_sources(scn.walls, scn.speaker))
+    assert not kept.flags.writeable
+    assert source_audibility(scn, scn.path[3])[0] is kept
+
+
+def test_vehicle_mounted_speaker_moves_its_image_sources():
+    scn = box_scenario(speaker=[0.1, 0.0, 0.2], speaker_on_vehicle=True, noise_sigma=1e-3)
+    first = source_audibility(scn, scn.path[0])[0]
+    second = source_audibility(scn, scn.path[1])[0]
+    assert np.max(np.abs(first - second)) > 0.1
+    for idx, pose in enumerate(scn.path[:3]):
+        sources = source_audibility(scn, pose)[0]
+        assert np.array_equal(sources, image_sources(scn.walls, speaker_position(scn, pose)))
+        assert generate_echoes(scn, pose, idx).d_sets == per_pose_echoes(scn, pose, idx).d_sets
 
 
 def test_generate_echoes_deterministic():
@@ -305,6 +344,21 @@ def test_ambiguity_pair_square_room_quarter_turn():
 def test_echo_set_merges_exact_duplicates():
     e = EchoSet(((1.0, 1.0, 4.0), (2.0,), (3.0,), (4.0,)))
     assert e.d_sets[0] == (1.0, 4.0)
+    a = EchoSet((np.array([4.0, 1.0, 4.0, 2.5]), (np.float64(2.0), 2), [3.0, 1e-3], ()))
+    assert a.d_sets == ((1.0, 2.5, 4.0), (2.0,), (1e-3, 3.0), ())
+    assert all(type(x) is float for d in a.d_sets for x in d)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0])
+@pytest.mark.parametrize("where", [0, 1, 3])
+def test_echo_set_rejects_nonpositive_and_non_finite_entries(bad, where):
+    entries = [2.0, 5.0, 3.0, 4.0]
+    entries.insert(where, bad)
+    for d_set in (tuple(entries), np.array(entries)):
+        with pytest.raises(ValueError, match="^echo entries must be positive and finite$"):
+            EchoSet((d_set, (1.0,), (1.0,), (1.0,)))
+        with pytest.raises(ValueError, match="^echo entries must be positive and finite$"):
+            EchoSet(((1.0,), (1.0,), (1.0,), d_set))
 
 
 def test_echo_set_rejects_nonpositive_entries():
@@ -324,6 +378,19 @@ def test_pose_requires_orthogonal_matrix():
             Pose([0, 0, 0], a)
     skew = rotation_from_yaw_pitch_roll(0.3, -0.2, 0.9)
     Pose([1, 2, 3], skew)  # fine
+
+
+def test_pose_is_a_frozen_value_with_one_array_of_its_own():
+    v, a = np.array([1.0, 2.0, 3.0]), rotation_from_yaw_pitch_roll(0.3, -0.2, 0.9)
+    pose = Pose(v, a, ortho_tol=1e-6)
+    v[0], a[0, 0] = 9.0, 9.0  # the pose copied its inputs
+    assert pose.v.tolist() == [1.0, 2.0, 3.0] and pose.A[0, 0] != 9.0
+    assert pose.v.base is pose.A.base  # one (4, 3) array per pose
+    with pytest.raises(AttributeError):
+        pose.v = np.zeros(3)
+    for twin in (copy.copy(pose), copy.deepcopy(pose), pickle.loads(pickle.dumps(pose))):
+        assert np.array_equal(twin.v, pose.v) and np.array_equal(twin.A, pose.A)
+        assert twin.ortho_tol == 1e-6 and twin.v.base is not pose.v.base
 
 
 def test_scenario_validation():
