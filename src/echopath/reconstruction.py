@@ -419,6 +419,20 @@ def _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, ii, jj, rank_cache):
     return None
 
 
+# Four points span no volume when it is at most this share of their longest
+# edge from the first point, cubed (a regular tetrahedron has 0.71).
+_FLAT_TOL = 1e-12
+
+
+def _flat(points: np.ndarray) -> bool:
+    """True if four points (rows) are coplanar to round-off; scale-free."""
+    edges = (points[1:] - points[0]).tolist()  # plain floats: cheaper than a 3x3 det
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = edges
+    volume = a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
+    edge_sq = max(x * x + y * y + z * z for x, y, z in edges)
+    return abs(volume) <= _FLAT_TOL * edge_sq**1.5
+
+
 def self_locate(mic_local, b, delta_cols, ortho_tol: float = 1e-6) -> Pose:
     """Pose of the vehicle from four matched reference points.
 
@@ -428,9 +442,13 @@ def self_locate(mic_local, b, delta_cols, ortho_tol: float = 1e-6) -> Pose:
     the vehicle frame (MicArray.positions), and one 4x4 solve gives the
     affine map (A | v) that takes them onto b. A must come out orthogonal;
     anything else means the match was wrong or noise dominates. An exactly
-    singular fit, as from coincident references, raises
-    DegenerateGeometryError. mic_local is a MicArray or the microphones'
-    local coordinates.
+    singular fit raises DegenerateGeometryError, and so does a failed gate
+    on references that are flat to round-off both as given and as placed
+    (coplanar, collinear or coincident): their pose is not determined. When
+    only one side is flat, no rigid motion maps one onto the other, and
+    PoseInconsistencyError stands. The flatness test runs on failed fits
+    only, so a located step does not pay for it. mic_local is a MicArray or
+    the microphones' local coordinates.
     """
     mics = _mic_array(mic_local)
     b = np.asarray(b, dtype=float)
@@ -448,6 +466,8 @@ def self_locate(mic_local, b, delta_cols, ortho_tol: float = 1e-6) -> Pose:
     rot, v = av[:3].T, av[3]
     defect = float(abs(rot.T @ rot - _IDENTITY).max())
     if not defect <= ortho_tol:  # a non-finite defect fails too
+        if _flat(local[:, :3]) and _flat(b):
+            raise DegenerateGeometryError("reference points do not span the space")
         raise PoseInconsistencyError(
             f"recovered orientation deviates from orthogonal by {defect:.3e}"
         )
@@ -490,12 +510,16 @@ def update_sources(points, registry: SourceRegistry, dedup_eps: float = 1e-3) ->
     if not len(far):
         return []
     # Greedy pass: a far point is new unless it is close to an earlier new one.
-    apart = (np.linalg.norm(far[:, None, :] - far[None, :, :], axis=2) > dedup_eps).tolist()
-    kept = []
-    for t, row in enumerate(apart):
-        if all(row[k] for k in kept):
-            kept.append(t)
-    new = list(far[kept])
+    # A point with no earlier close point is new, so only the others loop.
+    apart = np.linalg.norm(far[:, None, :] - far[None, :, :], axis=2) > dedup_eps
+    np.fill_diagonal(apart, True)
+    if not apart.all():
+        close = np.tril(~apart)  # close[t, k]: k < t and within dedup_eps
+        kept = np.ones(len(far), dtype=bool)
+        for t in np.flatnonzero(close.any(axis=1)).tolist():
+            kept[t] = not (close[t] & kept).any()
+        far = far[kept]
+    new = list(far)
     registry.extend(new)
     return new
 

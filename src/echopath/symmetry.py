@@ -12,11 +12,12 @@ sets by brute force.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (
+    _SAME_PLANE_TOL,
     Hyperplane,
     as_point,
     pairwise_squared_distances,
@@ -27,6 +28,7 @@ DEFAULT_GENERICITY_TOL = 1e-9
 _GEOM_TOL = 1e-9
 _MAX_AUTOMORPHISM_POINTS = 10
 _PAIR_BUDGET = 2_000_000  # f pairs tested at once
+_EPS = np.finfo(float).eps
 
 
 class ConcurrentLinesError(ValueError):
@@ -35,10 +37,16 @@ class ConcurrentLinesError(ValueError):
 
 @dataclass(frozen=True)
 class Arrangement:
-    """A finite set of distinct affine hyperplanes in fixed dimension."""
+    """A finite set of distinct affine hyperplanes in fixed dimension.
+
+    normals and offsets hold the hyperplanes' unit normals (one row each)
+    and offsets as read-only arrays.
+    """
 
     hyperplanes: tuple[Hyperplane, ...]
     dimension: int
+    normals: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         hs = tuple(self.hyperplanes)
@@ -47,18 +55,31 @@ class Arrangement:
         for h in hs:
             if h.dim != self.dimension:
                 raise ValueError("all hyperplanes must match the arrangement dimension")
-        for i, j in itertools.combinations(range(len(hs)), 2):
-            if hs[i].same_plane(hs[j]):
-                raise ValueError(f"hyperplanes {i} and {j} describe the same plane")
+        normals = np.stack([h.normal for h in hs])
+        offsets = np.array([h.offset for h in hs])
+        # Hyperplane.same_plane on every pair, with the dot products of its
+        # 1-d @ (one 1 x d by d x 1 product per pair).
+        dots = (normals[:, None, None, :] @ normals[:, :, None])[:, :, 0, 0]
+        same = np.abs(np.abs(dots) - 1.0) <= _SAME_PLANE_TOL
+        same &= np.abs(offsets[:, None] - dots * offsets) <= _SAME_PLANE_TOL
+        dup = np.argwhere(np.triu(same, 1))  # pairs i < j in combinations order
+        if dup.size:
+            i, j = (int(x) for x in dup[0])
+            raise ValueError(f"hyperplanes {i} and {j} describe the same plane")
+        normals.setflags(write=False)
+        offsets.setflags(write=False)
         object.__setattr__(self, "hyperplanes", hs)
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "offsets", offsets)
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
 
     def reflections(self, v) -> np.ndarray:
-        """All reflections of v, one row per hyperplane."""
+        """All reflections of v, one row per hyperplane (reflect_point, bit for bit)."""
         p = as_point(v, self.dimension)
-        return np.stack([reflect_point(h, p) for h in self.hyperplanes])
+        dots = (self.normals[:, None, :] @ p)[:, 0]  # 1 x d products, as reflect_point's
+        return p - (2.0 * (dots - self.offsets))[:, None] * self.normals
 
 
 @dataclass(frozen=True)
@@ -130,7 +151,10 @@ def genericity_check(
     Evaluates every factor of the symmetry-breaking polynomial at v and
     passes only if all of them stay above tol * scale^2, where scale is the
     largest distance from v to one of its reflections. The reported factor is
-    the first vanishing one in scan order (g factors, then h, then f).
+    the first vanishing one in scan order (g factors, then h, then f). In
+    3-d a complete screen on unordered wall triples runs first; the ordered
+    f scan runs, and makes the report, only when the screen finds a
+    candidate.
 
     In dimension 2 the guarantee requires that no three lines meet in one
     point; such arrangements are rejected unless allow_concurrent is set, in
@@ -173,6 +197,8 @@ def genericity_check(
         return GenericityReport(False, FactorRef("h", (i, j), float(h_vals[i, j])))
 
     if a.dimension >= 3:
+        if not _f_triples_may_vanish(a.normals, pair_sq, threshold):
+            return GenericityReport(True, None)
         return _check_f_triples(hs, pair_sq, threshold)
     return _check_f_pairs(hs, pair_sq, threshold)
 
@@ -190,7 +216,7 @@ def _first_near_duplicate(keys: np.ndarray, rows: np.ndarray, threshold: float):
     order = np.argsort(total)
     ordered, own = total[order], total[rows]
     width = np.sqrt(keys.shape[1]) * threshold
-    pad = width + 8 * np.finfo(float).eps * (np.abs(own) + width) + 1e-150
+    pad = width + 8 * _EPS * (np.abs(own) + width) + 1e-150
     lo = np.searchsorted(ordered, own - pad)
     counts = np.searchsorted(ordered, own + pad, side="right") - lo
     ends = np.cumsum(counts)  # the pairs of rows[i] are numbered up to ends[i]
@@ -212,6 +238,42 @@ def _first_near_duplicate(keys: np.ndarray, rows: np.ndarray, threshold: float):
             return int(row), int(cols[hit[row_of[hit] == row]].min())
         start = stop
     return None
+
+
+def _f_triples_may_vanish(normals: np.ndarray, pair_sq: np.ndarray, threshold: float) -> bool:
+    """False only if _check_f_triples passes: a cheap, complete screen on wall sets.
+
+    The key of an ordered triple is a permutation of the mirror-pair
+    distances (d_ij, d_il, d_jl) of its walls {i, j, l}; (i, i, j) in any
+    order gives (0, d_ij, d_ij) and (i, i, i) gives (0, 0, 0). So the
+    screen works on the C(W, 3) unordered triples with sorted keys:
+    - two orderings of one triple differ by a non-identity permutation of
+      their key, which moves at least two entries: their factor is at
+      least 2 g^2, g the least gap of the sorted key;
+    - for two different wall sets, pairing sorted with sorted gives the
+      least sum of squared differences over all orderings (rearrangement
+      inequality), so a hit needs the sorted keys within the threshold.
+    Rows are the independent triples. The margin below _GEOM_TOL is far
+    above round-off, so every ordering of an independent ordered triple is
+    a row here, and the threshold is padded for rounding.
+    """
+    k = len(normals)
+    upper = np.arange(k)[:, None] < np.arange(k)  # wall pairs i < j
+    i, j, l = np.nonzero(upper[:, :, None] & upper)  # wall sets, lexicographic
+    n1, n2 = normals[:, [1, 2, 0]], normals[:, [2, 0, 1]]
+    cross = n1[:, None] * n2 - n2[:, None] * n1  # cross[j, l] = n_j x n_l
+    volume = np.einsum("ij,ij->i", normals[i], cross[j, l])
+    rows = np.flatnonzero(np.abs(volume) > _GEOM_TOL - 1e-12)
+    if rows.size == 0:
+        return False
+    # Columns: every wall set, then (0, d, d) per wall pair, then (0, 0, 0).
+    keys = np.zeros((i.size + k * (k - 1) // 2 + 1, 3))
+    keys[: i.size] = np.sort(np.column_stack([pair_sq[i, j], pair_sq[i, l], pair_sq[j, l]]))
+    keys[i.size : -1, 1] = keys[i.size : -1, 2] = pair_sq[upper]
+    pad = threshold * (1.0 + 1e-9) + 64.0 * _EPS * float(pair_sq.max()) + 1e-150
+    if np.diff(keys[rows]).min() <= pad / np.sqrt(2.0):
+        return True
+    return _first_near_duplicate(keys, rows, pad) is not None
 
 
 def _check_f_triples(hs, pair_sq: np.ndarray, threshold: float) -> GenericityReport:

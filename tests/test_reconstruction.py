@@ -675,6 +675,39 @@ def test_self_locate_rejects_coplanar_references():
         self_locate(MICS, refs, delta)
 
 
+def test_self_locate_flags_consistent_coplanar_references_as_degenerate():
+    # Four references on a random plane, at their true distances: placed with
+    # round-off, the fit is nearly but not exactly singular, and its
+    # orientation is far from orthogonal; the geometry is at fault, not the match.
+    rng = np.random.default_rng(17)
+    mics = MicArray(MICS)
+    for _ in range(5):
+        pose = Pose(rng.uniform(-3.0, 3.0, 3), random_rotation(rng))
+        normal = rng.normal(size=3)
+        plane = np.linalg.svd(normal[None])[2][1:]  # two directions in the plane
+        refs = rng.uniform(-4.0, 4.0, (4, 2)) @ plane + rng.uniform(-3.0, 3.0) * normal
+        world = MICS @ pose.A.T + pose.v
+        delta = pairwise_squared_distances(np.vstack([world, refs]))[:4, 4:]
+        for ortho_tol in (1e-6, 0.25):
+            with pytest.raises(DegenerateGeometryError):
+                self_locate(mics, refs, delta, ortho_tol)
+
+
+def test_self_locate_flags_one_flat_side_as_inconsistent():
+    # No rigid motion maps a flat set onto a tetrahedron or back, so a flat
+    # side alone is a wrong match, as locate_step reports it under noise.
+    refs = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0], [2.0, 2.0, 2.0]])
+    delta = pairwise_squared_distances(np.vstack([MICS, refs]))[:4, 4:]
+    collinear = delta.copy()
+    collinear[:3, 2:] = collinear[:3, 1:2]  # columns 1-3 differ in x4 only: a line
+    with pytest.raises(PoseInconsistencyError):
+        self_locate(MICS, refs, collinear, 0.25)
+    flat = refs.copy()
+    flat[3] = flat[0] + flat[1] - flat[2]
+    with pytest.raises(PoseInconsistencyError):
+        self_locate(MICS, flat, delta, 0.25)
+
+
 def test_self_locate_flags_inconsistent_distances():
     scn = box_scenario()
     pose = Pose([1.0, 2.0, 1.0], np.eye(3))
@@ -785,6 +818,40 @@ def test_update_sources_matches_sequential_reference_on_near_duplicates():
         assert all(np.array_equal(a, w) for a, w in zip(added, expected))
         assert len(registry) == before + len(expected)
         assert all(np.array_equal(a, s) for a, s in zip(added, registry.sources[before:]))
+
+
+def test_update_sources_matches_sequential_reference_on_clusters_among_many_points():
+    rng = np.random.default_rng(65)
+    eps = 0.05
+    for n_clusters in (0, 1, 4, 9):
+        registry = SourceRegistry([rng.uniform(-3, 3, 3) for _ in range(10)])
+        # Spread points, each at least 4 eps from every other, then clusters:
+        # 3-5 points 1.5 eps from a centre, or in order on a line 0.8 eps
+        # apart, where the third point is close only to a dropped one and new.
+        points = rng.uniform(-3, 3, (60, 3))
+        spread = [points[0]]
+        for q in points[1:]:
+            if min(np.linalg.norm(q - r) for r in spread) > 4 * eps:
+                spread.append(q)
+        clusters = []
+        for c, centre in enumerate(rng.uniform(-3, 3, (n_clusters, 3))):
+            step = rng.standard_normal((int(rng.integers(3, 6)), 3))
+            if c % 2:
+                step = np.arange(len(step))[:, None] * step[0]
+                clusters += list(centre + 0.8 * eps * step / np.linalg.norm(step[1]))
+            else:
+                clusters += list(centre + 1.5 * eps * step / np.linalg.norm(step, axis=1)[:, None])
+        targets = np.array(spread + clusters)
+
+        known = list(registry.sources)
+        expected = []
+        for t in targets:
+            if all(np.linalg.norm(t - s) > eps for s in known):
+                known.append(t)
+                expected.append(t)
+        added = update_sources(targets, registry, eps)
+        assert len(added) == len(expected)
+        assert all(np.array_equal(a, w) for a, w in zip(added, expected))
 
 
 def _assert_registry_matrix_is_a_rebuild(registry):

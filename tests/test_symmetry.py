@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import chunked_check_f_triples
+from conftest import box_walls, chunked_check_f_triples, random_rotation
 
 from echopath import (
     Arrangement,
     ConcurrentLinesError,
+    GenericityReport,
     Hyperplane,
     dihedral_counterexample,
     distance_automorphisms,
@@ -17,7 +18,8 @@ from echopath import (
     pairwise_squared_distances,
     reflect_point,
 )
-from echopath.symmetry import _check_f_pairs, _check_f_triples
+from echopath import symmetry
+from echopath.symmetry import _check_f_pairs, _check_f_triples, _f_triples_may_vanish
 
 X0 = Hyperplane([1, 0], 0.0)
 X16 = Hyperplane([1, 0], 16.0)
@@ -240,6 +242,65 @@ def test_arrangement_dimension_mismatch_rejected():
         Arrangement((X0, Hyperplane([1, 0, 0], 1.0)), 2)
 
 
+def test_arrangement_names_the_first_duplicate_pair_in_combinations_order():
+    # Duplicates (1, 2) and (0, 3): a column-first scan would name (1, 2).
+    hs = (X0, Y0, Hyperplane([0, -1], 0.0), Hyperplane([2, 0], 0.0))
+    with pytest.raises(ValueError, match="hyperplanes 0 and 3 describe the same plane"):
+        Arrangement(hs, 2)
+
+
+def first_same_plane_pair(hs):
+    """Reference: the first pair in combinations order that same_plane joins."""
+    for i, j in itertools.combinations(range(len(hs)), 2):
+        if hs[i].same_plane(hs[j]):
+            return i, j
+    return None
+
+
+def test_arrangement_duplicate_check_equals_same_plane_on_near_duplicates():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        dim = int(rng.integers(2, 4))
+        k = int(rng.integers(2, 9))
+        normals = rng.normal(size=(k, dim))
+        offsets = rng.uniform(-3, 3, k)
+        # Copies nudged by less or more than the 1e-9 tolerance, some flipped.
+        for t in rng.choice(k, size=int(rng.integers(0, 3)), replace=False):
+            src = int(rng.integers(k))
+            sign = rng.choice([-1.0, 1.0])
+            shift = rng.choice([0.0, 3e-10, 3e-9])
+            normals[t] = sign * normals[src] + shift * rng.normal(size=dim)
+            offsets[t] = sign * offsets[src] * np.linalg.norm(normals[t]) / np.linalg.norm(
+                normals[src]
+            ) + shift * rng.normal()
+        hs = tuple(Hyperplane(n, o) for n, o in zip(normals, offsets))
+        expected = first_same_plane_pair(hs)
+        if expected is None:
+            Arrangement(hs, dim)
+        else:
+            with pytest.raises(ValueError, match=f"hyperplanes {expected[0]} and {expected[1]} "):
+                Arrangement(hs, dim)
+
+
+def test_arrangement_reflections_equal_reflect_point_bit_for_bit():
+    rng = np.random.default_rng(32)
+    rooms = [tuple(w.plane for w in box_walls(6.0, 5.0, 3.0)), RECT.hyperplanes]
+    for _ in range(100):
+        dim = int(rng.integers(2, 4))
+        rooms.append(
+            tuple(
+                Hyperplane(rng.normal(size=dim) * rng.uniform(0.1, 10), rng.uniform(-5, 5))
+                for _ in range(int(rng.integers(1, 20)))
+            )
+        )
+    for hs in rooms:
+        a = Arrangement(hs, hs[0].dim)
+        for _ in range(5):
+            v = rng.uniform(-5, 5, a.dimension) * 10 ** rng.uniform(-3, 3)
+            expected = np.stack([reflect_point(h, v) for h in hs])
+            assert np.array_equal(a.reflections(v), expected)
+
+
 def loop_check_f_pairs(hs, pair_sq, threshold):
     """Reference: the f-factor scan over pairs as an explicit double loop."""
     k = len(hs)
@@ -426,3 +487,120 @@ def test_speaker_on_a_mirror_plane_of_a_box_fails():
 def test_genericity_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
         genericity_check(RECT, [8.0, 5.0], tol=tol)
+
+
+def screened_f_triples(hs, pair_sq, threshold):
+    """genericity_check's 3-d f stage: the screen, then the ordered scan if it fires."""
+    if _f_triples_may_vanish(np.stack([h.normal for h in hs]), pair_sq, threshold):
+        return _check_f_triples(hs, pair_sq, threshold)
+    return GenericityReport(True, None)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_screened_f_stage_equals_the_ordered_scans(k):
+    rng = np.random.default_rng(300 + k)
+    for _ in range(3 if k < 10 else 1):
+        normals = rng.normal(size=(k, 3))
+        normals[rng.integers(1, k)] = rng.choice([-1.0, 1.0]) * normals[0]  # a repeated normal
+        hs = [Hyperplane(nv, rng.uniform(-3, 3)) for nv in normals]
+        pair_sq = mirror_pair_sq(hs, rng.uniform(-1, 1, 3))
+        vec = pair_sq[np.triu_indices(k, 1)]
+        gaps = np.abs(vec[:, None] - vec[None, :])
+        # Thresholds from none to many hits, and each first hit's own sqrt(f),
+        # on the edge of a hit, and the float just below it.
+        thresholds = [0.0, *np.quantile(gaps[gaps > 0], [0.001, 0.05, 0.5])]
+        for threshold in list(thresholds):
+            report = chunked_check_f_triples(hs, pair_sq, threshold)
+            if not report.passed:
+                edge = float(np.sqrt(report.failed_factor.value))
+                thresholds += [edge, float(np.nextafter(edge, 0.0))]
+        for threshold in thresholds:
+            expected = f_report_fields(chunked_check_f_triples(hs, pair_sq, threshold))
+            assert f_report_fields(_check_f_triples(hs, pair_sq, threshold)) == expected
+            assert f_report_fields(screened_f_triples(hs, pair_sq, threshold)) == expected
+
+
+def mirror_walls(points):
+    """Planes whose mirror images of the origin are the given points."""
+    return tuple(Hyperplane(p, float(p @ p) / 2.0) for p in np.asarray(points, dtype=float))
+
+
+# Mirror points of the origin: walls 0 and 1 are equidistant from wall 2's,
+# so swapping them keeps the triangle (d02 = d12 = 15.25), but no g or h
+# factor vanishes (squared reflection distances 1, 4 and 11.25).
+ISOSCELES = Arrangement(mirror_walls([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [-1.5, 0.0, 3.0]]), 3)
+
+
+def congruent_triangles() -> Arrangement:
+    # Walls 3-5 mirror a rotated, shifted copy of walls 0-2's scalene
+    # triangle, its vertices taken in the order 1, 2, 0.
+    first = np.array([[1.0, 0.2, 0.1], [0.3, 2.0, -0.4], [-0.5, 0.6, 1.7]])
+    second = first @ random_rotation(np.random.default_rng(5)).T + [0.4, -0.3, 0.9]
+    return Arrangement(mirror_walls(np.vstack([first, second[[1, 2, 0]]])), 3)
+
+
+@pytest.mark.parametrize(
+    "arrangement, planes",
+    [(ISOSCELES, ((0, 1, 2), (1, 0, 2))), (congruent_triangles(), ((0, 1, 2), (5, 3, 4)))],
+    ids=["isosceles", "congruent"],
+)
+def test_mirror_symmetries_fail_on_f_as_the_ordered_scan_reports(arrangement, planes):
+    hs, origin = arrangement.hyperplanes, np.zeros(3)
+    pair_sq = mirror_pair_sq(hs, origin)
+    threshold = 1e-9 * float(np.max(np.sum(arrangement.reflections(origin) ** 2, axis=1)))
+    assert _f_triples_may_vanish(arrangement.normals, pair_sq, threshold)
+    report = genericity_check(arrangement, origin)
+    assert report.failed_factor.kind == "f" and report.failed_factor.planes == planes
+    assert f_report_fields(report) == f_report_fields(
+        chunked_check_f_triples(hs, pair_sq, threshold)
+    )
+
+
+@pytest.fixture
+def ordered_scans(monkeypatch):
+    """The argument tuples of every _check_f_triples call genericity_check makes."""
+    calls = []
+    scan = symmetry._check_f_triples
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(symmetry, "_check_f_triples", counted)
+    return calls
+
+
+def test_generic_room_skips_the_ordered_scan(ordered_scans):
+    rng = np.random.default_rng(14)
+    hs = tuple(Hyperplane(rng.normal(size=3), rng.uniform(-5, 5)) for _ in range(14))
+    assert genericity_check(Arrangement(hs, 3), rng.uniform(-1, 1, 3)).passed
+    assert ordered_scans == []
+
+
+def test_symmetric_room_runs_the_ordered_scan_once(ordered_scans):
+    assert not genericity_check(congruent_triangles(), np.zeros(3)).passed
+    assert len(ordered_scans) == 1
+
+
+def test_screen_compares_with_repeated_wall_orderings():
+    # Mirror points 0 and 1 nearly coincide, so the ordering (0, 0, 2), key
+    # (0, d02, d02), is within the threshold of (0, 1, 2): f = 0.9 t^2. The
+    # least gap of the sorted key is 0.9 t > t / sqrt(2), so only the
+    # repeated-wall columns see the hit.
+    t = 1e-3
+    s0, s1, s2 = 0.3 * t, 4.0, 4.0 + 0.9 * t
+    pair_sq = np.array([[0.0, s0, s1], [s0, 0.0, s2], [s1, s2, 0.0]])
+    hs = [Hyperplane(n, 1.0) for n in np.eye(3)]
+    report = screened_f_triples(hs, pair_sq, t)
+    assert report.failed_factor.planes == ((0, 1, 2), (0, 0, 2))
+    assert f_report_fields(report) == f_report_fields(chunked_check_f_triples(hs, pair_sq, t))
+
+
+def test_screen_keeps_triples_just_above_the_independence_tolerance():
+    # |det| = 1e-9 + 5e-13: a row of the ordered scan, so a row of the screen.
+    z = 1e-9 + 5e-13
+    hs = [Hyperplane(n, 1.0) for n in ([1, 0, 0], [0, 1, 0], [0, np.sqrt(1 - z * z), z])]
+    pair_sq = np.array([[0.0, 2.0, 2.0], [2.0, 0.0, 3.0], [2.0, 3.0, 0.0]])  # isosceles: d01 = d02
+    report = screened_f_triples(hs, pair_sq, 0.0)
+    assert report.failed_factor.planes == ((0, 1, 2), (0, 2, 1))
+    assert f_report_fields(report) == f_report_fields(chunked_check_f_triples(hs, pair_sq, 0.0))
