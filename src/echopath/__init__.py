@@ -6,6 +6,7 @@ tests for symmetry-breaking speaker placement, and a scenario-driven CLI.
 """
 
 from .cayley_menger import (
+    MicArray,
     bordered_rank,
     cm_matrix,
     cm_polynomial,
@@ -27,7 +28,6 @@ from .reconstruction import (
     EchoAssignment,
     LocateResult,
     MatchStats,
-    MicArray,
     PoseInconsistencyError,
     SourceRegistry,
     detected_distance_matrix,

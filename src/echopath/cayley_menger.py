@@ -7,10 +7,13 @@ affine dimension of the generating points. Everything else applies C^{-1}
 to columns delta = (1, d) of squared distances to the basis points:
 delta^T C^{-1} delta holds the squared distances between the targets (its
 vanishing diagonal is the echo test), and rows 1..n+1 of C^{-1} delta are
-their barycentric coordinates (multilateration).
+their barycentric coordinates (multilateration). MicArray holds the
+vehicle's four microphones with their C, C^{-1} and |det C|.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,6 +80,52 @@ def bordered_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     return _numerical_rank(out, tol) - 2
 
 
+@dataclass(frozen=True, eq=False)
+class MicArray:
+    """The vehicle's four microphones, checked once, and their Cayley-Menger matrix.
+
+    local holds the microphone coordinates in the vehicle frame (4 x 3), c the
+    5x5 bordered matrix of their squared mutual distances, c_inv its inverse
+    and abs_det_c |det c|. The distances do not change as the vehicle moves,
+    so one value serves a whole scenario; the arrays are read-only copies.
+    """
+
+    local: np.ndarray
+    c: np.ndarray = field(init=False)
+    c_inv: np.ndarray = field(init=False)
+    abs_det_c: float = field(init=False)
+
+    def __post_init__(self):
+        local = np.array(self.local, dtype=float)
+        if local.shape != (4, 3):
+            raise ValueError(f"mic_local must be 4 points in 3-d, got shape {local.shape}")
+        if not np.all(np.isfinite(local)):
+            raise ValueError("mic_local coordinates must be finite")
+        if affine_dimension(local) != 3:
+            raise DegenerateGeometryError("mic_local must be non-coplanar")
+        c = border(pairwise_squared_distances(local))  # a valid distance matrix by construction
+        for name, value in (("local", local), ("c", c), ("c_inv", np.linalg.inv(c))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "abs_det_c", abs(float(np.linalg.det(c))))
+
+    def positions(self, delta) -> np.ndarray:
+        """Vehicle-frame positions of sources at squared distances delta from the microphones.
+
+        delta[k, j] is the squared distance from microphone k to source j.
+        Rows 1-4 of C^{-1} (1, delta_j) are the barycentric coordinates of
+        source j with respect to the microphones, so placing all sources is
+        one product and needs no solve. Returns one row per source.
+        """
+        weights = self.c_inv[1:, :1] + self.c_inv[1:, 1:] @ delta
+        return weights.T @ self.local
+
+
+def _mic_array(mics) -> MicArray:
+    """mics itself if it is a MicArray, else the MicArray of its coordinates."""
+    return mics if isinstance(mics, MicArray) else MicArray(mics)
+
+
 def _cm_solve(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """C^{-1} delta for a Cayley-Menger matrix c; singular c is degenerate geometry."""
     try:
@@ -104,7 +153,7 @@ def cm_polynomial(c: np.ndarray, x) -> float:
     return float(np.linalg.det(np.block([[c, y], [y.T, 0.0]])))
 
 
-def _echo_form(mics, xs) -> tuple[np.ndarray, np.ndarray]:
+def _echo_form(mics: MicArray, xs) -> tuple[np.ndarray, np.ndarray]:
     """y = (1, x) per row of xs and G y, with G = mics.c_inv, summed one column
     of G at a time (a cumulative sum), so a row rounds alike in any batch (a
     matrix product does not)."""
@@ -114,10 +163,10 @@ def _echo_form(mics, xs) -> tuple[np.ndarray, np.ndarray]:
     return y, np.cumsum(mics.c_inv[:, :, None] * y, axis=1)[:, -1]
 
 
-def cm_polynomial_batch(mics, xs: np.ndarray) -> np.ndarray:
+def cm_polynomial_batch(mics: MicArray, xs: np.ndarray) -> np.ndarray:
     """cm_polynomial over the rows of xs (shape (k, 4)), as a quadratic form.
 
-    mics is the run's MicArray, with G = C^{-1} and |det C| = det C = 288 V^2
+    mics is the scenario's MicArray, with G = C^{-1} and |det C| = det C = 288 V^2
     (V the microphones' volume). With y = (1, x) the bordered determinant is
     -det(C) y^T G y (Schur complement of C); a row's value ignores other rows.
     """
@@ -125,7 +174,7 @@ def cm_polynomial_batch(mics, xs: np.ndarray) -> np.ndarray:
     return -mics.abs_det_c * np.cumsum(y * gy, axis=0)[-1]
 
 
-def _cm_polynomial_gradient(mics, xs: np.ndarray) -> np.ndarray:
+def _cm_polynomial_gradient(mics: MicArray, xs: np.ndarray) -> np.ndarray:
     """Gradient of cm_polynomial_batch(mics, xs) at each row of xs: -2 det(C) (G y)[1:]."""
     _, gy = _echo_form(mics, xs)
     return -2.0 * mics.abs_det_c * gy[1:].T

@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from .geometry import Hyperplane, Wall
-from .reconstruction import MicArray, SourceRegistry, locate_step, pose_to_euler
+from .reconstruction import SourceRegistry, locate_step, pose_to_euler
 from .simulator import (
     Pose,
     Scenario,
@@ -183,9 +183,8 @@ def run(scenario: Scenario):
     from the last successful step. Ground truth is re-expressed in the frozen
     frame fixed by the bootstrap step before errors are computed.
     """
-    if scenario.dimension != 3 or scenario.mic_local is None or not scenario.path:
+    if scenario.mics is None or not scenario.path:  # microphones imply a 3-d scenario
         raise ScenarioError("run requires a 3-d scenario with microphones and a path")
-    mics = MicArray(scenario.mic_local)
     registry = SourceRegistry()
     records: list[RunRecord] = []
     bootstrap_pose: Pose | None = None
@@ -194,7 +193,7 @@ def run(scenario: Scenario):
     for idx, pose in enumerate(scenario.path):
         echoes = generate_echoes(scenario, pose, idx)
         n_known = len(registry)
-        result = locate_step(registry, mics, echoes, scenario.noise_sigma)
+        result = locate_step(registry, scenario.mics, echoes, scenario.noise_sigma)
         n_new = len(result.new_sources) if result.new_sources is not None else 0
         if result.status == "fail":
             records.append(

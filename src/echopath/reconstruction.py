@@ -5,17 +5,16 @@ One locate step consumes the echo sets of a single emission and runs:
 1. echo matching: combine one squared distance per microphone into columns
    that are consistent with a common sound source (the consistency test is
    the vanishing of the microphones' Cayley-Menger polynomial);
-2. source geometry: squared distances between the detected sources, computed
-   from the echo columns alone (microphone mutual distances are pose
-   invariant, so the local coordinates suffice);
-3. a rank test: fewer than four detected sources, or coplanar ones, cannot
-   anchor a pose, so the step fails;
+2. placement: put the detected sources in the vehicle frame, once, from the
+   microphones' Cayley-Menger matrix;
+3. a rank test on the placed points: fewer than four detected sources, or
+   coplanar ones, cannot anchor a pose, so the step fails;
 4. bootstrap or matching: the first usable emission freezes the vehicle
    frame and stores the detected sources in it; later emissions match four
-   detected sources against the registry by submatrix search;
-5. self-location: place the detected sources in the vehicle frame, once,
-   from the microphones' Cayley-Menger matrix, and fit the orientation and
-   position that map the four matched sources onto their references;
+   detected sources against the registry by submatrix search on their
+   squared distances, computed from the echo columns alone;
+5. self-location: fit the orientation and position that map the four
+   matched sources onto their references;
 6. knowledge update: map all detected sources into the frozen frame with
    that pose and register the ones not seen before.
 
@@ -25,14 +24,15 @@ leaves the registry untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cayley_menger import (
+    MicArray,
     _cm_polynomial_gradient,
+    _mic_array,
     bordered_rank,
-    cm_matrix,
     cm_polynomial_batch,
     mutual_distances,
 )
@@ -46,52 +46,6 @@ from .simulator import _IDENTITY, EchoSet, Pose
 
 class PoseInconsistencyError(RuntimeError):
     """Recovered orientation is far from orthogonal (bad match or noise overload)."""
-
-
-@dataclass(frozen=True, eq=False)
-class MicArray:
-    """The vehicle's four microphones, checked once, and their Cayley-Menger matrix.
-
-    local holds the microphone coordinates in the vehicle frame (4 x 3), c the
-    5x5 bordered matrix of their squared mutual distances, c_inv its inverse
-    and abs_det_c |det c|. The distances do not change as the vehicle moves,
-    so one value serves a whole run; the arrays are read-only copies.
-    """
-
-    local: np.ndarray
-    c: np.ndarray = field(init=False)
-    c_inv: np.ndarray = field(init=False)
-    abs_det_c: float = field(init=False)
-
-    def __post_init__(self):
-        local = np.array(self.local, dtype=float)
-        if local.shape != (4, 3):
-            raise ValueError(f"mic_local must be 4 points in 3-d, got shape {local.shape}")
-        if not np.all(np.isfinite(local)):
-            raise ValueError("mic_local coordinates must be finite")
-        if affine_dimension(local) != 3:
-            raise DegenerateGeometryError("mic_local must be non-coplanar")
-        c = cm_matrix(pairwise_squared_distances(local))
-        for name, value in (("local", local), ("c", c), ("c_inv", np.linalg.inv(c))):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "abs_det_c", abs(float(np.linalg.det(c))))
-
-    def positions(self, delta) -> np.ndarray:
-        """Vehicle-frame positions of sources at squared distances delta from the microphones.
-
-        delta[k, j] is the squared distance from microphone k to source j.
-        Rows 1-4 of C^{-1} (1, delta_j) are the barycentric coordinates of
-        source j with respect to the microphones, so placing all sources is
-        one product and needs no solve. Returns one row per source.
-        """
-        weights = self.c_inv[1:, :1] + self.c_inv[1:, 1:] @ delta
-        return weights.T @ self.local
-
-
-def _mic_array(mics) -> MicArray:
-    """mics itself if it is a MicArray, else the MicArray of its coordinates."""
-    return mics if isinstance(mics, MicArray) else MicArray(mics)
 
 
 @dataclass(eq=False)
@@ -419,18 +373,9 @@ def _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, ii, jj, rank_cache):
     return None
 
 
-# Four points span no volume when it is at most this share of their longest
-# edge from the first point, cubed (a regular tetrahedron has 0.71).
+# Four points are flat to round-off when their affine_dimension at this
+# relative rank tolerance is below 3.
 _FLAT_TOL = 1e-12
-
-
-def _flat(points: np.ndarray) -> bool:
-    """True if four points (rows) are coplanar to round-off; scale-free."""
-    edges = (points[1:] - points[0]).tolist()  # plain floats: cheaper than a 3x3 det
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = edges
-    volume = a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
-    edge_sq = max(x * x + y * y + z * z for x, y, z in edges)
-    return abs(volume) <= _FLAT_TOL * edge_sq**1.5
 
 
 def self_locate(mic_local, b, delta_cols, ortho_tol: float = 1e-6) -> Pose:
@@ -466,7 +411,8 @@ def self_locate(mic_local, b, delta_cols, ortho_tol: float = 1e-6) -> Pose:
     rot, v = av[:3].T, av[3]
     defect = float(abs(rot.T @ rot - _IDENTITY).max())
     if not defect <= ortho_tol:  # a non-finite defect fails too
-        if _flat(local[:, :3]) and _flat(b):
+        flat = affine_dimension(local[:, :3], _FLAT_TOL) < 3
+        if flat and affine_dimension(b, _FLAT_TOL) < 3:
             raise DegenerateGeometryError("reference points do not span the space")
         raise PoseInconsistencyError(
             f"recovered orientation deviates from orthogonal by {defect:.3e}"
@@ -511,7 +457,7 @@ def update_sources(points, registry: SourceRegistry, dedup_eps: float = 1e-3) ->
         return []
     # Greedy pass: a far point is new unless it is close to an earlier new one.
     # A point with no earlier close point is new, so only the others loop.
-    apart = np.linalg.norm(far[:, None, :] - far[None, :, :], axis=2) > dedup_eps
+    apart = pairwise_squared_distances(far) > dedup_eps**2
     np.fill_diagonal(apart, True)
     if not apart.all():
         close = np.tril(~apart)  # close[t, k]: k < t and within dedup_eps
@@ -545,13 +491,14 @@ def locate_step(
     the echo-root test is widened per column (see echo_match), matching and
     rank tolerances are wide enough for noise-perturbed source geometry, the
     dedup radius lies above the per-source position scatter, and a loose
-    orthogonality gate still rejects false matches. The rank test is
-    scale-free (see bordered_rank); the distance-equality tolerance (m^2) and
-    the dedup radius (m) are absolute, calibrated for rooms of a few metres.
+    orthogonality gate still rejects false matches. The rank tests are
+    scale-free (see affine_dimension and bordered_rank); the distance-equality
+    tolerance (m^2) and the dedup radius (m) are absolute, calibrated for
+    rooms of a few metres.
 
     mic_local is a MicArray or the microphones' local coordinates; a run
-    passes one MicArray to every step. A bad microphone array or noise level
-    raises ValueError rather than returning a FAIL.
+    passes its scenario's MicArray to every step. A bad microphone array or
+    noise level raises ValueError rather than returning a FAIL.
     """
     noisy = noise_sigma > 0.0
     eq_tol = max(1e-6, 1000.0 * noise_sigma)
@@ -561,13 +508,13 @@ def locate_step(
     mics = _mic_array(mic_local)
     try:
         assignment = echo_match(mics, e, noise_sigma=noise_sigma)
-        d_detected = detected_distance_matrix(mics, assignment)
-        if bordered_rank(d_detected, rank_tol) < 3:
-            return LocateResult("fail", fail_reason="coplanar_sources")
         points = mics.positions(assignment.delta)  # the vehicle frame
+        if len(points) < 4 or affine_dimension(points, rank_tol) < 3:
+            return LocateResult("fail", fail_reason="coplanar_sources")
         if len(state) == 0:
             new = update_sources(points, state, dedup_eps)
             return LocateResult("success", pose=None, new_sources=tuple(new))
+        d_detected = detected_distance_matrix(mics, assignment)
         found = match_submatrices(d_detected, state.distance_matrix(), 4, eq_tol, rank_tol)
         if found is None:
             return LocateResult("fail", fail_reason="no_match")

@@ -12,16 +12,16 @@ every echo set a pure function of (scenario, pose, pose index).
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
+from .cayley_menger import MicArray
 from .geometry import (
     DegenerateGeometryError,
     Hyperplane,
     Wall,
-    affine_dimension,
     as_point,
     mirror_point,
     plane_basis,
@@ -119,7 +119,9 @@ class Scenario:
     speaker holds the world position of the loudspeaker, or, when
     speaker_on_vehicle is set, its fixed offset in the vehicle frame.
     Dimension-2 scenarios carry walls and speaker only (for the symmetry
-    demos); microphones and path require dimension 3.
+    demos); microphones and path require dimension 3. mics is the checked
+    MicArray of mic_local (None without microphones), built with the
+    scenario; mic_local is its read-only local.
     """
 
     walls: tuple[Wall, ...]
@@ -131,6 +133,7 @@ class Scenario:
     occlusion_enabled: bool = True
     speaker_on_vehicle: bool = False
     dimension: int = 3
+    mics: MicArray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dimension not in (2, 3):
@@ -148,17 +151,13 @@ class Scenario:
             object.__setattr__(self, "speaker", as_point(self.speaker, self.dimension))
         elif self.speaker_on_vehicle:
             raise ValueError("speaker offset required when speaker_on_vehicle is set")
+        mics = None
         if self.mic_local is not None:
-            mics = np.asarray(self.mic_local, dtype=float)
             if self.dimension != 3:
                 raise ValueError("microphones require a 3-d scenario")
-            if mics.shape != (4, 3):
-                raise ValueError(f"mic_local must be 4 points in 3-d, got shape {mics.shape}")
-            if not np.all(np.isfinite(mics)):
-                raise ValueError("mic_local coordinates must be finite")
-            if affine_dimension(mics) != 3:
-                raise ValueError("mic_local must be non-coplanar")
-            object.__setattr__(self, "mic_local", mics)
+            mics = MicArray(self.mic_local)
+            object.__setattr__(self, "mic_local", mics.local)
+        object.__setattr__(self, "mics", mics)
         path = tuple(self.path)
         if path and self.dimension != 3:
             raise ValueError("a pose path requires a 3-d scenario")

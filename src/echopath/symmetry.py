@@ -163,6 +163,8 @@ def genericity_check(
     """
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
+    if a.dimension not in (2, 3):
+        raise ValueError(f"genericity_check supports dimensions 2 and 3, got {a.dimension}")
     p = as_point(v, a.dimension)
     hs = a.hyperplanes
     if a.dimension == 2 and not allow_concurrent:

@@ -1,16 +1,19 @@
-"""The microphone array value: one check and one Cayley-Menger matrix per run."""
+"""The microphone array value: one check and one Cayley-Menger matrix per scenario."""
 
 import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from conftest import box_scenario, tetra_mics
 
+import echopath
 import echopath.cayley_menger as cayley_menger
 import echopath.reconstruction as reconstruction
 from echopath import (
     DegenerateGeometryError,
     MicArray,
+    Scenario,
     SourceRegistry,
     detected_distance_matrix,
     echo_match,
@@ -162,13 +165,13 @@ def test_located_step_solves_once_and_multilaterates_nothing(monkeypatch):
 
 def test_run_checks_the_microphones_once_and_steps_match_raw_coordinates(monkeypatch):
     calls = []
-    real = reconstruction.affine_dimension
+    real = cayley_menger.affine_dimension
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(reconstruction, "affine_dimension", counted)
+    monkeypatch.setattr(cayley_menger, "affine_dimension", counted)
     run(box_scenario())
     assert len(calls) == 1
 
@@ -186,3 +189,43 @@ def test_run_checks_the_microphones_once_and_steps_match_raw_coordinates(monkeyp
             assert np.array_equal(got.pose.A, want.pose.A)
     assert len(by_value) == len(by_coords) > 0
     assert all(np.array_equal(a, b) for a, b in zip(by_value.sources, by_coords.sources))
+
+
+def test_scenario_owns_one_checked_mic_array():
+    scn = box_scenario()
+    assert isinstance(scn.mics, MicArray)
+    assert scn.mics.local is scn.mic_local
+    assert np.array_equal(scn.mic_local, MICS)
+    with pytest.raises(ValueError):
+        scn.mic_local[0, 0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        scn.mics = MicArray(MICS)
+    with pytest.raises(TypeError):
+        Scenario(walls=scn.walls, mic_local=MICS, mics=scn.mics)
+    assert box_scenario(mic_local=None, path=()).mics is None
+
+
+def test_with_overrides_rebuilds_the_mic_array():
+    scn = box_scenario()
+    noisy = scn.with_overrides(noise_sigma=1e-3)
+    assert noisy.mics is not scn.mics and noisy.mics.local is noisy.mic_local
+    assert np.array_equal(noisy.mics.c, scn.mics.c)
+    wider = scn.with_overrides(mic_local=2.0 * MICS)
+    assert wider.mics.local is wider.mic_local
+    assert np.array_equal(wider.mics.local, 2.0 * MICS)
+    assert np.array_equal(wider.mics.c, cm_matrix(pairwise_squared_distances(2.0 * MICS)))
+
+
+def test_run_hands_the_scenarios_mic_array_to_every_step(monkeypatch):
+    scn = box_scenario()
+    seen = []
+    real = echopath.run.__globals__["locate_step"]
+
+    def recording(state, mic_local, *args, **kwargs):
+        seen.append(mic_local)
+        return real(state, mic_local, *args, **kwargs)
+
+    monkeypatch.setitem(echopath.run.__globals__, "locate_step", recording)
+    run(scn)
+    assert len(seen) == len(scn.path) > 1
+    assert all(mics is scn.mics for mics in seen)

@@ -955,6 +955,39 @@ def test_locate_step_vertical_walls_fail_coplanar():
     assert result.fail_reason == "coplanar_sources"
 
 
+def _exact_echoes(k):
+    """Echo sets holding the exact squared distances of k random points."""
+    points = np.random.default_rng(k).uniform(-3.0, 3.0, (k, 3))
+    return EchoSet(tuple(pairwise_squared_distances(np.vstack([MICS, points]))[:4, 4:]))
+
+
+FEW_SOURCES = {
+    "deaf_mic": (EchoSet(((1.0, 2.0), (), (1.5,), (2.5,))), 0),
+    "inconsistent": (EchoSet(((1.0,), (4.0,), (9.0,), (100.0,))), 0),
+    "one": (_exact_echoes(1), 1),
+    "two": (_exact_echoes(2), 2),
+    "three": (_exact_echoes(3), 3),
+}
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+@pytest.mark.parametrize("bootstrapped", [False, True])
+@pytest.mark.parametrize("echoes, n_sources", FEW_SOURCES.values(), ids=FEW_SOURCES.keys())
+def test_fewer_than_four_sources_fail_coplanar(echoes, n_sources, bootstrapped, sigma):
+    registry = SourceRegistry()
+    if bootstrapped:
+        scn = box_scenario()
+        locate_step(registry, MICS, generate_echoes(scn, scn.path[0], 0))
+    snapshot = copy.deepcopy(registry)
+    assert echo_match(MICS, echoes).n_sources == n_sources
+    assert echo_match(MICS, echoes, noise_sigma=sigma).n_sources < 4  # ghosts under noise
+    result = locate_step(registry, MICS, echoes, sigma)
+    assert (result.status, result.fail_reason) == ("fail", "coplanar_sources")
+    assert len(registry) == len(snapshot) == (7 if bootstrapped else 0)
+    assert np.array_equal(registry.as_array(), snapshot.as_array())
+    assert np.array_equal(registry.distance_matrix(), snapshot.distance_matrix())
+
+
 def test_locate_step_bootstrap_then_pose():
     scn = box_scenario()
     registry = SourceRegistry()

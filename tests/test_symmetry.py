@@ -489,6 +489,21 @@ def test_genericity_rejects_bad_tolerance(tol):
         genericity_check(RECT, [8.0, 5.0], tol=tol)
 
 
+@pytest.mark.parametrize("dim", [1, 4])
+def test_genericity_rejects_unsupported_dimensions(dim, monkeypatch):
+    def no_factors(*args, **kwargs):
+        raise AssertionError("a factor was computed")
+
+    monkeypatch.setattr(symmetry, "pairwise_squared_distances", no_factors)
+    rng = np.random.default_rng(dim)
+    for walls in (1, 3, 6):
+        hs = tuple(
+            Hyperplane(rng.normal(size=dim), off) for off in rng.uniform(-3.0, 3.0, walls)
+        )
+        with pytest.raises(ValueError, match=f"supports dimensions 2 and 3, got {dim}"):
+            genericity_check(Arrangement(hs, dim), rng.uniform(-1.0, 1.0, dim))
+
+
 def screened_f_triples(hs, pair_sq, threshold):
     """genericity_check's 3-d f stage: the screen, then the ordered scan if it fires."""
     if _f_triples_may_vanish(np.stack([h.normal for h in hs]), pair_sq, threshold):
