@@ -11,8 +11,8 @@ One locate step consumes the echo sets of a single emission and runs:
    coplanar ones, cannot anchor a pose, so the step fails;
 4. bootstrap or matching: the first usable emission freezes the vehicle
    frame and stores the detected sources in it; later emissions match four
-   detected sources against the registry by submatrix search on their
-   squared distances, computed from the echo columns alone;
+   detected sources against the registry by submatrix search on the squared
+   distances between the placed points;
 5. self-location: fit the orientation and position that map the four
    matched sources onto their references;
 6. knowledge update: map all detected sources into the frozen frame with
@@ -271,15 +271,16 @@ def echo_match(
 
 
 def detected_distance_matrix(mics, a: EchoAssignment) -> np.ndarray:
-    """Squared distances between the detected sources.
+    """Squared distances between the detected sources, by one solve against C.
 
-    Built from the echo columns and the (pose-invariant) microphone mutual
-    distances only; no world positions are needed. mics is a MicArray or the
-    microphones' local coordinates.
+    Needs only the echo columns and the microphones' distances; mics is a
+    MicArray or their local coordinates. Off the diagonal the result is
+    pairwise_squared_distances(mics.positions(a.delta)) + (r_i + r_j) / 2,
+    clamped at 0, with r_i = y_i^T C^{-1} y_i the echo form that echo_match
+    only bounds (0 for consistent columns). No caller in the package: it
+    stays public, and bench/run.py traces it by name.
     """
-    m = a.n_sources
-    delta_bar = np.vstack([np.ones((1, m)), a.delta])
-    return mutual_distances(_mic_array(mics).c, delta_bar)
+    return mutual_distances(_mic_array(mics).c, np.vstack([np.ones((1, a.n_sources)), a.delta]))
 
 
 def match_submatrices(
@@ -481,10 +482,11 @@ def locate_step(
     The detected sources are placed once in the vehicle frame of the
     emission (MicArray.positions). The first call with at least four
     non-coplanar detected sources registers them as they are, which freezes
-    that frame, and returns success without a pose. Later calls fit the pose
-    on four matched sources (self_locate), return it in the frozen frame and
+    that frame, and returns success without a pose. Later calls match the
+    placed points' squared distances against the registry's, fit the pose on
+    four matched sources (self_locate), return it in the frozen frame and
     map every detected source through it before registering the unseen ones.
-    On failure the registry is left exactly as it was.
+    No solve against C. On failure the registry is left exactly as it was.
 
     Every threshold follows from noise_sigma, the std of the travel-distance
     noise. At zero they are tight enough for exact arithmetic. Under noise
@@ -514,7 +516,7 @@ def locate_step(
         if len(state) == 0:
             new = update_sources(points, state, dedup_eps)
             return LocateResult("success", pose=None, new_sources=tuple(new))
-        d_detected = detected_distance_matrix(mics, assignment)
+        d_detected = pairwise_squared_distances(points)  # the registry's formula
         found = match_submatrices(d_detected, state.distance_matrix(), 4, eq_tol, rank_tol)
         if found is None:
             return LocateResult("fail", fail_reason="no_match")

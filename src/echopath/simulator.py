@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cayley_menger import MicArray
+from .cayley_menger import MicArray, _mic_array
 from .geometry import (
     DegenerateGeometryError,
     Hyperplane,
@@ -121,12 +121,12 @@ class Scenario:
     Dimension-2 scenarios carry walls and speaker only (for the symmetry
     demos); microphones and path require dimension 3. mics is the checked
     MicArray of mic_local (None without microphones), built with the
-    scenario; mic_local is its read-only local.
+    scenario unless mic_local is one; mic_local is its read-only local.
     """
 
     walls: tuple[Wall, ...]
     speaker: np.ndarray | None = None
-    mic_local: np.ndarray | None = None
+    mic_local: np.ndarray | MicArray | None = None
     path: tuple[Pose, ...] = ()
     noise_sigma: float = 0.0
     seed: int = 0
@@ -155,7 +155,7 @@ class Scenario:
         if self.mic_local is not None:
             if self.dimension != 3:
                 raise ValueError("microphones require a 3-d scenario")
-            mics = MicArray(self.mic_local)
+            mics = _mic_array(self.mic_local)
             object.__setattr__(self, "mic_local", mics.local)
         object.__setattr__(self, "mics", mics)
         path = tuple(self.path)
@@ -168,7 +168,8 @@ class Scenario:
             raise ValueError("seed must be nonnegative")
 
     def with_overrides(self, **kwargs) -> "Scenario":
-        return replace(self, **kwargs)
+        """A copy with kwargs replaced; it shares this MicArray unless mic_local is one."""
+        return replace(self, **{"mic_local": self.mics, **kwargs})
 
     @cached_property
     def _fixed_image_sources(self) -> np.ndarray:

@@ -166,9 +166,8 @@ def genericity_check(
     if a.dimension not in (2, 3):
         raise ValueError(f"genericity_check supports dimensions 2 and 3, got {a.dimension}")
     p = as_point(v, a.dimension)
-    hs = a.hyperplanes
     if a.dimension == 2 and not allow_concurrent:
-        triple = _line_triples_concurrent(hs)
+        triple = _line_triples_concurrent(a.hyperplanes)
         if triple is not None:
             raise ConcurrentLinesError(
                 f"lines {triple} meet in one point; the 2-d genericity "
@@ -201,8 +200,8 @@ def genericity_check(
     if a.dimension >= 3:
         if not _f_triples_may_vanish(a.normals, pair_sq, threshold):
             return GenericityReport(True, None)
-        return _check_f_triples(hs, pair_sq, threshold)
-    return _check_f_pairs(hs, pair_sq, threshold)
+        return _check_f_triples(a.normals, pair_sq, threshold)
+    return _check_f_pairs(a.normals, pair_sq, threshold)
 
 
 def _first_near_duplicate(keys: np.ndarray, rows: np.ndarray, threshold: float):
@@ -278,14 +277,13 @@ def _f_triples_may_vanish(normals: np.ndarray, pair_sq: np.ndarray, threshold: f
     return _first_near_duplicate(keys, rows, pad) is not None
 
 
-def _check_f_triples(hs, pair_sq: np.ndarray, threshold: float) -> GenericityReport:
+def _check_f_triples(normals, pair_sq: np.ndarray, threshold: float) -> GenericityReport:
     # The mirror-pair distances of each ordered triple with independent normals
     # must differ from those of every other ordered triple. The factor is the
     # sum of three squared differences; its square root is held to the g and h
     # threshold. Triples are in lexicographic order; a repeated index gives
     # determinant zero, so no row.
-    k = len(hs)
-    normals = np.stack([h.normal for h in hs])
+    k = len(normals)
     triples = np.indices((k, k, k)).reshape(3, -1).T
     rows = np.flatnonzero(np.abs(np.linalg.det(normals[triples])) > _GEOM_TOL)
     keys = pair_sq[triples[:, [0, 0, 1]], triples[:, [1, 2, 2]]]  # (01, 02, 12) distances
@@ -298,13 +296,12 @@ def _check_f_triples(hs, pair_sq: np.ndarray, threshold: float) -> GenericityRep
     return GenericityReport(False, FactorRef("f", planes, value))
 
 
-def _check_f_pairs(hs, pair_sq: np.ndarray, threshold: float) -> GenericityReport:
+def _check_f_pairs(normals, pair_sq: np.ndarray, threshold: float) -> GenericityReport:
     # 2-d form: the mirror-pair distance of each non-parallel pair must
     # differ from that of every other pair (ordered pairs collapse to sets).
     # Rows are the non-parallel pairs i < j, columns all pairs i <= j, both
     # in lexicographic order; i == j gives determinant zero, so no row.
-    pairs = np.stack(np.triu_indices(len(hs)), axis=1)
-    normals = np.stack([h.normal for h in hs])
+    pairs = np.stack(np.triu_indices(len(normals)), axis=1)
     rows = np.flatnonzero(np.abs(np.linalg.det(normals[pairs])) > _GEOM_TOL)
     keys = pair_sq[pairs[:, :1], pairs[:, 1:]]  # (s, 1)
     hit = _first_near_duplicate(keys, rows, threshold)

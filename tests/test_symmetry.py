@@ -28,6 +28,11 @@ Y10 = Hyperplane([0, 1], 10.0)
 RECT = Arrangement((X0, X16, Y0, Y10), 2)
 
 
+def normals_of(hs):
+    """The unit normals of hyperplanes as rows, as Arrangement.normals holds them."""
+    return np.stack([h.normal for h in hs])
+
+
 def test_eval_g_reflection_coincidence():
     v = [3.0, 2.0]
     val = eval_g(X0, Y0, X0, v)
@@ -320,7 +325,7 @@ def loop_check_f_pairs(hs, pair_sq, threshold):
 
 
 def f_pairs_outcome(hs, pair_sq, threshold):
-    report = _check_f_pairs(hs, pair_sq, threshold)
+    report = _check_f_pairs(normals_of(hs), pair_sq, threshold)
     if report.passed:
         return None
     assert report.failed_factor.kind == "f"
@@ -386,7 +391,7 @@ def test_check_f_triples_matches_loop_reference_on_random_arrangements():
         vec = pair_sq[np.triu_indices(k, 1)]
         gaps = np.abs(vec[:, None] - vec[None, :])
         for threshold in (0.0, *np.quantile(gaps[gaps > 0], [0.01, 0.2, 0.9])):
-            report = _check_f_triples(hs, pair_sq, threshold)
+            report = _check_f_triples(normals_of(hs), pair_sq, threshold)
             expected = loop_check_f_triples(hs, pair_sq, threshold)
             if expected is None:
                 assert report.passed
@@ -420,7 +425,8 @@ def test_check_f_triples_equals_chunked_scan_on_random_arrangements(k):
         gaps = np.abs(vec[:, None] - vec[None, :])
         # Thresholds from none to many hits exercise the scan order.
         for threshold in (0.0, *np.quantile(gaps[gaps > 0], [0.001, 0.05, 0.5])):
-            assert f_report_fields(_check_f_triples(hs, pair_sq, threshold)) == f_report_fields(
+            report = _check_f_triples(normals_of(hs), pair_sq, threshold)
+            assert f_report_fields(report) == f_report_fields(
                 chunked_check_f_triples(hs, pair_sq, threshold)
             )
 
@@ -437,7 +443,8 @@ def test_check_f_triples_equals_chunked_scan_on_boxes_with_exact_ties():
         ]
         pair_sq = mirror_pair_sq(hs, rng.integers(0, 9, 3) / 2.0)
         for threshold in (0.0, 1e-9, 0.5, 3.0):
-            assert f_report_fields(_check_f_triples(hs, pair_sq, threshold)) == f_report_fields(
+            report = _check_f_triples(normals_of(hs), pair_sq, threshold)
+            assert f_report_fields(report) == f_report_fields(
                 chunked_check_f_triples(hs, pair_sq, threshold)
             )
 
@@ -455,7 +462,7 @@ def test_check_f_triples_memory_stays_bounded_on_icosahedron():
     threshold = 1e-9 * 16.0
     tracemalloc.start()
     try:
-        report = _check_f_triples(hs, pair_sq, threshold)
+        report = _check_f_triples(normals_of(hs), pair_sq, threshold)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -506,8 +513,9 @@ def test_genericity_rejects_unsupported_dimensions(dim, monkeypatch):
 
 def screened_f_triples(hs, pair_sq, threshold):
     """genericity_check's 3-d f stage: the screen, then the ordered scan if it fires."""
-    if _f_triples_may_vanish(np.stack([h.normal for h in hs]), pair_sq, threshold):
-        return _check_f_triples(hs, pair_sq, threshold)
+    normals = normals_of(hs)
+    if _f_triples_may_vanish(normals, pair_sq, threshold):
+        return _check_f_triples(normals, pair_sq, threshold)
     return GenericityReport(True, None)
 
 
@@ -531,7 +539,7 @@ def test_screened_f_stage_equals_the_ordered_scans(k):
                 thresholds += [edge, float(np.nextafter(edge, 0.0))]
         for threshold in thresholds:
             expected = f_report_fields(chunked_check_f_triples(hs, pair_sq, threshold))
-            assert f_report_fields(_check_f_triples(hs, pair_sq, threshold)) == expected
+            assert f_report_fields(_check_f_triples(normals_of(hs), pair_sq, threshold)) == expected
             assert f_report_fields(screened_f_triples(hs, pair_sq, threshold)) == expected
 
 
