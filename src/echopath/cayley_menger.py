@@ -73,9 +73,10 @@ def bordered_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("bordered_rank expects a square matrix")
-    out = np.ones((m.shape[0] + 1, m.shape[0] + 1))
+    out = np.empty((m.shape[0] + 1, m.shape[0] + 1))
+    out.fill(1.0)
     out[0, 0] = 0.0
-    scale = np.abs(m).max(initial=0.0)
+    scale = np.maximum.reduce(np.abs(m), None, initial=0.0)
     np.divide(m, scale if scale > 0.0 else 1.0, out=out[1:, 1:])
     return _numerical_rank(out, tol) - 2
 

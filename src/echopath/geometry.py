@@ -179,7 +179,7 @@ def affine_dimension(points, tol: float = DEFAULT_RANK_TOL) -> int:
 
     Numerical rank (relative threshold tol) of the differences v_i - v_0.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.array(points, dtype=float, copy=None, ndmin=2)
     if pts.shape[0] < 1:
         raise ValueError("affine_dimension needs at least one point")
     return _numerical_rank(pts[1:] - pts[0], tol)
@@ -193,9 +193,15 @@ def linearly_independent_hyperplanes(hs, tol: float = DEFAULT_RANK_TOL) -> bool:
 
 
 def pairwise_squared_distances(points) -> np.ndarray:
-    """Symmetric matrix of squared Euclidean distances with zero diagonal."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.einsum("ijk,ijk->ij", diff, diff)
+    """Symmetric matrix of squared Euclidean distances with zero diagonal,
+    of the points copied to C order (einsum rounds by memory layout)."""
+    pts = np.atleast_2d(np.ascontiguousarray(points, dtype=float))
+    d = squared_distances(pts, pts)
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def squared_distances(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(m, n) squared distances from C-ordered rows (m, d) to points (n, d)."""
+    diff = rows[:, None, :] - points[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)

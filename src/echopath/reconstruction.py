@@ -14,9 +14,10 @@ One locate step consumes the echo sets of a single emission and runs:
    detected sources against the registry by submatrix search on the squared
    distances between the placed points;
 5. self-location: fit the orientation and position that map the four
-   matched sources onto their references;
+   matched sources, as placed in step 2, onto their references;
 6. knowledge update: map all detected sources into the frozen frame with
-   that pose and register the ones not seen before.
+   that pose and register the ones not seen before, deduplicated on one
+   pass of squared distances whose rows the registry stores.
 
 Any internal failure is reported as a FAIL result with a diagnostic tag and
 leaves the registry untouched.
@@ -40,6 +41,7 @@ from .geometry import (
     DegenerateGeometryError,
     affine_dimension,
     pairwise_squared_distances,
+    squared_distances,
 )
 from .simulator import _IDENTITY, EchoSet, Pose
 
@@ -54,10 +56,10 @@ class SourceRegistry:
 
     Besides the tuple of sources the registry keeps them as the rows of an
     (n, 3) array and keeps their squared-distance matrix. Sources are only
-    ever appended, so extend() computes the rows of the new points against
-    all points and leaves the rest of the matrix as it is. extend() is the
-    one way to add sources; as_array() and distance_matrix() return
-    read-only views.
+    ever appended, with the rows of the new points against all points, and
+    the rest of the matrix stays as it is. extend() and update_sources()
+    both write through one private append; as_array() and distance_matrix()
+    return read-only views.
     """
 
     sources: tuple = ()
@@ -78,11 +80,16 @@ class SourceRegistry:
     def extend(self, points) -> None:
         """Register points (3-vectors) and their rows of the distance matrix.
 
-        The new rows use the formula of pairwise_squared_distances, so the
-        matrix equals that of all points bit for bit. The buffers grow by
-        doubling, so adding k points costs O(k n) amortized.
+        The points are copied to C order and their rows use the formula of
+        pairwise_squared_distances, so the matrix equals that of all points
+        bit for bit, whatever the input's memory layout.
         """
-        new = np.array(points, dtype=float).reshape(-1, 3)
+        new = np.array(points, dtype=float, order="C").reshape(-1, 3)
+        self._append(new, squared_distances(new, np.concatenate([self.as_array(), new])))
+
+    def _append(self, new: np.ndarray, rows: np.ndarray) -> None:
+        """Own C-ordered points new (m, 3) and their rows (m, n + m) of the
+        matrix. The buffers grow by doubling: O(m n) amortized."""
         n, m = len(self.sources), len(new)
         if m == 0:
             return
@@ -92,8 +99,6 @@ class SourceRegistry:
             points_buf[:n], d_buf[:n, :n] = self._points[:n], self._d[:n, :n]
             self._points, self._d = points_buf, d_buf
         self._points[n : n + m] = new
-        diff = new[:, None, :] - self._points[None, : n + m, :]
-        rows = np.einsum("ijk,ijk->ij", diff, diff)
         np.fill_diagonal(rows[:, n:], 0.0)
         self._d[n : n + m, : n + m] = rows
         self._d[:n, n : n + m] = rows[:, :n].T
@@ -173,8 +178,6 @@ def _polynomial_noise_std(mics: MicArray, grid: np.ndarray, sigma: float) -> np.
 
 # Under noise the echo-root test is widened by this many predicted noise stds.
 _NOISE_MARGIN = 8.0
-# Adds x3 to row 2 of (x1, x2, 0, max S4), the entries of rows 1-4 of G y.
-_X3_ROW = np.array([[0.0], [0.0], [1.0], [0.0]])
 _EPS = np.finfo(float).eps
 
 
@@ -192,39 +195,48 @@ def _root_window_grid(mics: MicArray, sets, root_tol, noise_sigma) -> np.ndarray
     both read the MicArray's G. Every entry of y is positive, so y^T |G| y is
     at most max|G| (sum y)^2, which the pad takes in its place.
     """
-    g, s4, x3 = mics.c_inv, np.sort(sets[3]), sets[2]
-    y = np.empty((sets[0].size, sets[1].size, 5))
-    y[...] = (1.0, 0.0, 0.0, 0.0, s4[-1])
-    y[:, :, 1], y[:, :, 2] = sets[0][:, None], sets[1]
+    g, (s1, s2, x3), s4 = mics.c_inv, sets[:3], np.sort(sets[3])
+    lo4, hi4 = s4[0], s4[-1]
+    n1, n2, n3 = s1.size, s2.size, x3.size
+    y = np.empty((n1, n2, 5))
+    y[...] = (1.0, 0.0, 0.0, 0.0, hi4)
+    y[:, :, 1], y[:, :, 2] = s1[:, None], s2
     y = y.reshape(-1, 5)  # rows (1, x1, x2, 0, max S4), one per (x1, x2) pair
     a = -g[4, 4]
     gy = y @ g  # G y per pair, less its x3 part
-    z = s4[-1] + (gy[:, 4:] + g[4, 3] * x3) / a  # where (G y)_4, half the x4 slope, is 0
+    z = hi4 + (gy[:, 4:] + g[4, 3] * x3) / a  # where (G y)_4, half the x4 slope, is 0
     # y^T G y over the triples, as (x1, x2) pairs by x3, is e - a (x4 - z)^2.
     e = np.einsum("ij,ij->i", y, gy)[:, None] + x3 * (2.0 * gy[:, 3:4] + g[3, 3] * x3)
-    e += a * (s4[-1] - z) ** 2
-    # max(x)^3 is the cube of the larger of a pair's maximum and x3.
-    tau = (root_tol / mics.abs_det_c) * np.maximum(y[:, 1:].max(axis=1, keepdims=True), x3) ** 3
+    e += a * (hi4 - z) ** 2
+    # max(x)^3 is the larger of a pair's cube, max(x1, x2, max S4)^3, and x3^3.
+    cube = np.maximum(np.maximum(s1[:, None] ** 3, s2**3), hi4**3).reshape(-1, 1)
+    tau = (root_tol / mics.abs_det_c) * np.maximum(cube, x3**3)
     if noise_sigma > 0.0:
-        high = gy[:, 1:, None] + g[1:, 3, None] * x3  # rows 1-4 of G y at x4 = max S4
-        w = np.maximum(np.abs(high), np.abs(high - g[1:, 4, None] * (s4[-1] - s4[0])))
-        x = y[:, 1:, None] + _X3_ROW * x3  # the entries (x1, x2, x3, max S4) of those rows
-        w *= 2.0 * np.sqrt(x) * noise_sigma + noise_sigma**2  # the entry std
-        tau += 2.0 * _NOISE_MARGIN * np.sqrt(np.sum(w**2, axis=1))
-    y_sum = y.sum(axis=1, keepdims=True) + x3
-    tau += 16.0 * _EPS * (np.abs(g).max() * y_sum**2 + a * z**2 + tau)
+        # Rows 1-4 of G y at x4 = max S4, in C order: the sum over rows adds slabs.
+        high = np.add(gy.T[1:, :, None], g[1:, 3, None, None] * x3, order="C")
+        w = np.maximum(np.abs(high), np.abs(high - g[1:, 4, None, None] * (hi4 - lo4)))
+        # Row k of w takes the entry std, 2 sqrt(x) sigma + sigma^2, of set k.
+        std = 2.0 * np.sqrt(np.concatenate([s1, s2, x3, [hi4]])) * noise_sigma + noise_sigma**2
+        parts = std[:n1, None, None], std[n1 : n1 + n2, None], std[n1 + n2 : -1], std[-1]
+        for row, part in zip(w.reshape(4, n1, n2, n3), parts):
+            row *= part
+        tau += 2.0 * _NOISE_MARGIN * np.sqrt(np.add.reduce(w * w, 0)).reshape(-1, n3)
+    y_sum = (((1.0 + s1)[:, None] + s2) + hi4).reshape(-1, 1) + x3
+    tau += 16.0 * _EPS * (np.maximum.reduce(np.abs(g), None) * y_sum**2 + a * z**2 + tau)
     # Only triples whose form reaches -tau in [min S4, max S4] have candidates.
-    t = np.flatnonzero(e + tau >= a * (np.clip(z, s4[0], s4[-1]) - z) ** 2)
+    t = (e + tau >= a * (np.minimum(np.maximum(z, lo4), hi4) - z) ** 2).ravel().nonzero()[0]
     z, e, tau = z.ravel()[t], e.ravel()[t], tau.ravel()[t]
     near, far = np.sqrt(np.maximum(e - tau, 0.0) / a), np.sqrt((e + tau) / a)
-    lo = np.searchsorted(s4, np.concatenate([z - far, z + near]))
-    hi = np.searchsorted(s4, np.concatenate([z - near, z + far]), side="right")
+    lo = s4.searchsorted(np.concatenate([z - far, z + near]))
+    hi = s4.searchsorted(np.concatenate([z - near, z + far]), "right")
     lo[t.size :] = np.maximum(lo[t.size :], hi[: t.size])  # an entry in both is taken once
     count = hi - lo
-    triple = np.repeat(np.concatenate([t, t]), count)
-    entry = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-    pair, k3 = np.divmod(triple, x3.size)
-    return np.column_stack([y[pair, 1:3], x3[k3], s4[entry]])
+    triple = np.concatenate([t, t]).repeat(count)
+    entry = (lo - count.cumsum() + count).repeat(count) + np.arange(np.add.reduce(count))
+    pair, k3 = np.divmod(triple, n3)
+    grid = np.empty((triple.size, 4))
+    grid[:, :2], grid[:, 2], grid[:, 3] = y[pair, 1:3], x3[k3], s4[entry]
+    return grid
 
 
 def echo_match(
@@ -260,13 +272,13 @@ def echo_match(
         return EchoAssignment(np.zeros((4, 0)))
     grid = _root_window_grid(mics, sets, root_tol, noise_sigma)
     vals = cm_polynomial_batch(mics, grid)
-    threshold = root_tol * np.max(grid, axis=1) ** 3
+    threshold = root_tol * grid.max(axis=1) ** 3
     if noise_sigma > 0.0:
         threshold = threshold + _NOISE_MARGIN * _polynomial_noise_std(mics, grid, noise_sigma)
     cols = grid[np.abs(vals) <= threshold]
     cols = cols[np.lexsort(cols.T[::-1])]  # rows in lexicographic order
     distinct = np.ones(len(cols), dtype=bool)
-    distinct[1:] = np.any(cols[1:] != cols[:-1], axis=1)
+    distinct[1:] = (cols[1:] != cols[:-1]).any(axis=1)
     return EchoAssignment(np.ascontiguousarray(cols[distinct].T))
 
 
@@ -379,32 +391,29 @@ def _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, ii, jj, rank_cache):
 _FLAT_TOL = 1e-12
 
 
-def self_locate(mic_local, b, delta_cols, ortho_tol: float = 1e-6) -> Pose:
-    """Pose of the vehicle from four matched reference points.
+def self_locate(points, b, ortho_tol: float = 1e-6) -> Pose:
+    """Pose of the vehicle from four matched sources and their references.
 
-    b holds the four reference points (rows, frozen frame) and delta_cols the
-    squared microphone-to-reference distances with delta_cols[k, j] the
-    distance from microphone k to reference j. The references are placed in
-    the vehicle frame (MicArray.positions), and one 4x4 solve gives the
-    affine map (A | v) that takes them onto b. A must come out orthogonal;
-    anything else means the match was wrong or noise dominates. An exactly
-    singular fit raises DegenerateGeometryError, and so does a failed gate
-    on references that are flat to round-off both as given and as placed
-    (coplanar, collinear or coincident): their pose is not determined. When
-    only one side is flat, no rigid motion maps one onto the other, and
-    PoseInconsistencyError stands. The flatness test runs on failed fits
-    only, so a located step does not pay for it. mic_local is a MicArray or
-    the microphones' local coordinates.
+    points holds the four sources as placed in the vehicle frame (rows, as
+    MicArray.positions returns them) and b their four reference points
+    (rows, frozen frame). One 4x4 solve gives the affine map (A | v) that
+    takes points onto b. A must come out orthogonal; anything else means
+    the match was wrong or noise dominates. An exactly singular fit raises
+    DegenerateGeometryError, and so does a failed gate on points and
+    references that are both flat to round-off (coplanar, collinear or
+    coincident): their pose is not determined. When only one side is flat,
+    no rigid motion maps one onto the other, and PoseInconsistencyError
+    stands. The flatness test runs on failed fits only, so a located step
+    does not pay for it.
     """
-    mics = _mic_array(mic_local)
+    points = np.asarray(points, dtype=float)
     b = np.asarray(b, dtype=float)
-    delta_cols = np.asarray(delta_cols, dtype=float)
-    if b.shape != (4, 3) or delta_cols.shape != (4, 4):
-        raise ValueError("self_locate expects 4x3 points and a 4x4 distance block")
-    if not np.isfinite(delta_cols).all():
-        raise PoseInconsistencyError("reference distances must be finite")
+    if b.shape != (4, 3) or points.shape != (4, 3):
+        raise ValueError("self_locate expects 4x3 points and 4x3 references")
+    if not np.isfinite(points).all():
+        raise PoseInconsistencyError("placed points must be finite")
     local = np.ones((4, 4))
-    local[:, :3] = mics.positions(delta_cols)  # row j: (p_j, 1), with A p_j + v = b_j
+    local[:, :3] = points  # row j: (p_j, 1), with A p_j + v = b_j
     try:
         av = np.linalg.solve(local, b)
     except np.linalg.LinAlgError as exc:
@@ -444,31 +453,34 @@ def pose_to_euler(a) -> tuple[float, float, float]:
 def update_sources(points, registry: SourceRegistry, dedup_eps: float = 1e-3) -> list:
     """Register the points (rows, frozen frame) that are not seen before.
 
-    A point closer than dedup_eps to a registered source (or to an earlier
-    new point) is treated as already known. Returns the list of newly added
-    points; the registry is extended in place.
+    A point within squared distance dedup_eps**2 of a registered source (or
+    of an earlier new point) is already known. One pass of the registry's
+    formula, on the points copied to C order, gives these squared distances;
+    the kept points' rows are what the registry stores. Returns the list of
+    newly added points; the registry is extended in place.
     """
-    points = np.asarray(points, dtype=float)
+    points = np.ascontiguousarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError("update_sources expects points as the rows of an (m, 3) array")
-    known = registry.as_array()
-    gaps = np.linalg.norm(points[:, None, :] - known[None, :, :], axis=2)  # (m, n)
-    far = points[np.all(gaps > dedup_eps, axis=1)]
-    if not len(far):
+    n = len(registry)
+    d = squared_distances(points, np.concatenate([registry.as_array(), points]))
+    apart = d > dedup_eps**2  # (m, n + m)
+    far = apart[:, :n].all(axis=1).nonzero()[0]
+    if not far.size:
         return []
     # Greedy pass: a far point is new unless it is close to an earlier new one.
     # A point with no earlier close point is new, so only the others loop.
-    apart = pairwise_squared_distances(far) > dedup_eps**2
-    np.fill_diagonal(apart, True)
-    if not apart.all():
-        close = np.tril(~apart)  # close[t, k]: k < t and within dedup_eps
-        kept = np.ones(len(far), dtype=bool)
-        for t in np.flatnonzero(close.any(axis=1)).tolist():
+    among = apart[far[:, None], n + far]
+    np.fill_diagonal(among, True)
+    if not among.all():
+        close = np.tril(~among)  # close[t, k]: k < t and within dedup_eps
+        kept = np.ones(far.size, dtype=bool)
+        for t in close.any(axis=1).nonzero()[0].tolist():
             kept[t] = not (close[t] & kept).any()
         far = far[kept]
-    new = list(far)
-    registry.extend(new)
-    return new
+    new = points[far]
+    registry._append(new, d[far[:, None], np.concatenate([np.arange(n), n + far])])
+    return list(new)
 
 
 def locate_step(
@@ -484,9 +496,10 @@ def locate_step(
     non-coplanar detected sources registers them as they are, which freezes
     that frame, and returns success without a pose. Later calls match the
     placed points' squared distances against the registry's, fit the pose on
-    four matched sources (self_locate), return it in the frozen frame and
-    map every detected source through it before registering the unseen ones.
-    No solve against C. On failure the registry is left exactly as it was.
+    the four matched placed points (self_locate), return it in the frozen
+    frame and map every detected source through it before registering the
+    unseen ones (update_sources). Each source is placed once, and no solve
+    runs against C. On failure the registry is left exactly as it was.
 
     Every threshold follows from noise_sigma, the std of the travel-distance
     noise. At zero they are tight enough for exact arithmetic. Under noise
@@ -522,7 +535,7 @@ def locate_step(
             return LocateResult("fail", fail_reason="no_match")
         i_idx, j_idx = found
         refs = state.as_array()[list(j_idx)]
-        pose = self_locate(mics, refs, assignment.delta[:, list(i_idx)], ortho_tol)
+        pose = self_locate(points[list(i_idx)], refs, ortho_tol)
         new = update_sources(points @ pose.A.T + pose.v, state, dedup_eps)
         return LocateResult("success", pose=pose, new_sources=tuple(new))
     except (DegenerateGeometryError, PoseInconsistencyError) as exc:

@@ -176,3 +176,14 @@ def test_valid_bounded_wall():
         boundary=[[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
     )
     assert wall.bounded
+
+
+def test_pairwise_squared_distances_do_not_depend_on_memory_layout():
+    # einsum rounds by memory layout, so a transposed view must be copied to
+    # C order: its distances are those of the C-ordered copy, bit for bit.
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        pts = rng.uniform(-5.0, 5.0, (3, int(rng.integers(2, 40)))).T
+        assert not pts.flags.c_contiguous
+        want = pairwise_squared_distances(np.ascontiguousarray(pts))
+        assert np.array_equal(pairwise_squared_distances(pts), want)

@@ -70,7 +70,9 @@ CALLS = {
     "detected_distance_matrix": lambda mics: detected_distance_matrix(
         mics, echo_match(MICS, _box_step()[0])
     ),
-    "self_locate": lambda mics: self_locate(mics, *_box_step()[1:]),
+    "self_locate": lambda mics: self_locate(
+        MicArray(mics).positions(_box_step()[2]), _box_step()[1]
+    ),
 }
 
 
@@ -163,6 +165,24 @@ def test_located_step_solves_once_and_multilaterates_nothing(monkeypatch):
     assert len(solves) == 0  # the search reads the placed points
     assert len(linalg_solves) == 1  # self_locate's affine fit
     assert not recovered and not hasattr(reconstruction, "recover_point")
+
+
+def test_located_step_places_the_sources_once(monkeypatch):
+    # self_locate fits the matched sources as the step placed them.
+    scn = box_scenario()
+    registry = SourceRegistry()
+    assert locate_step(registry, scn.mics, generate_echoes(scn, scn.path[0], 0)).status == "success"
+    placed = []
+    real = MicArray.positions
+
+    def counted(self, delta):
+        placed.append(delta.shape)
+        return real(self, delta)
+
+    monkeypatch.setattr(MicArray, "positions", counted)
+    result = locate_step(registry, scn.mics, generate_echoes(scn, scn.path[1], 1))
+    assert result.status == "success" and result.pose is not None
+    assert len(placed) == 1
 
 
 def test_run_checks_the_microphones_once_and_steps_match_raw_coordinates(monkeypatch):

@@ -623,7 +623,7 @@ def test_self_locate_identity_pose():
     sources = np.stack(ground_truth_sources(scn, pose))[[0, 1, 3, 5]]
     mics = world_microphones(scn, pose)
     delta = np.array([[np.sum((s - m) ** 2) for s in sources] for m in mics])
-    got = self_locate(scn.mic_local, sources, delta)
+    got = self_locate(MicArray(scn.mic_local).positions(delta), sources)
     assert np.allclose(got.v, 0.0, atol=1e-9)
     assert np.allclose(got.A, np.eye(3), atol=1e-9)
 
@@ -634,7 +634,7 @@ def test_self_locate_translation():
     sources = np.stack(ground_truth_sources(scn, pose))[[0, 1, 3, 5]]
     mics = world_microphones(scn, pose)
     delta = np.array([[np.sum((s - m) ** 2) for s in sources] for m in mics])
-    got = self_locate(scn.mic_local, sources, delta)
+    got = self_locate(MicArray(scn.mic_local).positions(delta), sources)
     assert np.allclose(got.v, [1.0, 2.0, 3.0], atol=1e-9)
     assert np.allclose(got.A, np.eye(3), atol=1e-9)
 
@@ -646,7 +646,7 @@ def test_self_locate_yaw_and_translation():
     sources = np.stack(ground_truth_sources(scn, pose))[[0, 2, 4, 6]]
     mics = world_microphones(scn, pose)
     delta = np.array([[np.sum((s - m) ** 2) for s in sources] for m in mics])
-    got = self_locate(scn.mic_local, sources, delta)
+    got = self_locate(MicArray(scn.mic_local).positions(delta), sources)
     assert np.allclose(got.A, rot, atol=1e-8)
     assert np.allclose(got.v, pose.v, atol=1e-8)
 
@@ -672,7 +672,7 @@ def test_self_locate_equals_the_multilateration_oracle_on_exact_data():
         refs = tetra_mics(4.0) @ random_rotation(rng).T + rng.uniform(-0.5, 0.5, (4, 3))
         world = MICS @ pose.A.T + pose.v
         delta = pairwise_squared_distances(np.vstack([world, refs]))[:4, 4:]
-        got = self_locate(mics, refs, delta)
+        got = self_locate(mics.positions(delta), refs)
         rot, v = multilaterated_pose(MICS, refs, delta)
         assert np.max(np.abs(got.A - rot)) <= 1e-12
         assert np.max(np.abs(got.v - v)) <= 1e-12
@@ -683,14 +683,14 @@ def test_self_locate_equals_the_multilateration_oracle_on_exact_data():
 def test_self_locate_rejects_coplanar_references():
     flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
     with pytest.raises(DegenerateGeometryError):
-        self_locate(MICS, flat, np.ones((4, 4)))
+        self_locate(MicArray(MICS).positions(np.ones((4, 4))), flat)
     # Two references at the same distances from every microphone coincide in
     # the vehicle frame, so the fit is singular.
     refs = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0], [2.0, 2.0, 2.0]])
     delta = pairwise_squared_distances(np.vstack([MICS, refs]))[:4, 4:]
     delta[:, 3] = delta[:, 2]
     with pytest.raises(DegenerateGeometryError):
-        self_locate(MICS, refs, delta)
+        self_locate(MicArray(MICS).positions(delta), refs)
 
 
 def test_self_locate_flags_consistent_coplanar_references_as_degenerate():
@@ -708,7 +708,7 @@ def test_self_locate_flags_consistent_coplanar_references_as_degenerate():
         delta = pairwise_squared_distances(np.vstack([world, refs]))[:4, 4:]
         for ortho_tol in (1e-6, 0.25):
             with pytest.raises(DegenerateGeometryError):
-                self_locate(mics, refs, delta, ortho_tol)
+                self_locate(mics.positions(delta), refs, ortho_tol)
 
 
 def test_self_locate_flags_one_flat_side_as_inconsistent():
@@ -719,11 +719,11 @@ def test_self_locate_flags_one_flat_side_as_inconsistent():
     collinear = delta.copy()
     collinear[:3, 2:] = collinear[:3, 1:2]  # columns 1-3 differ in x4 only: a line
     with pytest.raises(PoseInconsistencyError):
-        self_locate(MICS, refs, collinear, 0.25)
+        self_locate(MicArray(MICS).positions(collinear), refs, 0.25)
     flat = refs.copy()
     flat[3] = flat[0] + flat[1] - flat[2]
     with pytest.raises(PoseInconsistencyError):
-        self_locate(MICS, flat, delta, 0.25)
+        self_locate(MicArray(MICS).positions(delta), flat, 0.25)
 
 
 def test_self_locate_flags_inconsistent_distances():
@@ -734,7 +734,7 @@ def test_self_locate_flags_inconsistent_distances():
     delta = np.array([[np.sum((s - m) ** 2) for s in sources] for m in mics])
     delta[2, 1] += 5.0  # corrupt one squared distance
     with pytest.raises(PoseInconsistencyError):
-        self_locate(scn.mic_local, sources, delta, ortho_tol=1e-6)
+        self_locate(MicArray(scn.mic_local).positions(delta), sources, ortho_tol=1e-6)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -745,9 +745,10 @@ def test_self_locate_flags_non_finite_orientation(bad):
     sources = np.stack(ground_truth_sources(scn, pose))[[0, 1, 3, 5]]
     mics = world_microphones(scn, pose)
     delta = np.array([[np.sum((s - m) ** 2) for s in sources] for m in mics])
-    delta[2, 1] = bad
+    points = MicArray(scn.mic_local).positions(delta)
+    points[1, 2] = bad
     with pytest.raises(PoseInconsistencyError):
-        self_locate(scn.mic_local, sources, delta, ortho_tol=0.25)
+        self_locate(points, sources, ortho_tol=0.25)
 
 
 def test_pose_to_euler_basics():
@@ -911,6 +912,43 @@ def test_registry_built_from_an_initial_list():
     _assert_registry_matrix_is_a_rebuild(registry)
     empty = SourceRegistry()
     assert empty.as_array().shape == (0, 3) and empty.distance_matrix().shape == (0, 0)
+
+
+def test_registry_equals_a_rebuild_for_transposed_points():
+    # Transposed (F-ordered) rows are copied to C order, so the matrix is the
+    # rebuild's bit for bit, built at once or appended.
+    rng = np.random.default_rng(73)
+    for _ in range(50):
+        points = rng.uniform(-6.0, 6.0, (3, int(rng.integers(2, 30)))).T
+        _assert_registry_matrix_is_a_rebuild(SourceRegistry(sources=points))
+        registry = SourceRegistry(rng.uniform(-6.0, 6.0, (5, 3)))
+        registry.extend(points)
+        _assert_registry_matrix_is_a_rebuild(registry)
+
+
+def test_update_sources_on_a_large_registry_takes_transposed_points():
+    rng = np.random.default_rng(66)
+    eps = 0.05
+    registry = SourceRegistry(rng.uniform(-6.0, 6.0, (120, 3)))
+    for _ in range(10):
+        # Targets 0.5 or 1.5 eps from registered sources, and fresh ones.
+        step = rng.standard_normal((8, 3))
+        step *= eps * rng.choice([0.5, 1.5], (8, 1)) / np.linalg.norm(step, axis=1)[:, None]
+        near = registry.as_array()[rng.integers(len(registry), size=8)] + step
+        targets = np.vstack([near, rng.uniform(-6.0, 6.0, (6, 3))])
+        rng.shuffle(targets)
+
+        known = list(registry.sources)
+        expected = []
+        for t in targets:
+            if all(np.linalg.norm(t - s) > eps for s in known):
+                known.append(t)
+                expected.append(t)
+        added = update_sources(targets.T.copy().T, registry, eps)  # F-ordered rows
+        assert len(added) == len(expected)
+        assert all(np.array_equal(a, w) for a, w in zip(added, expected))
+        _assert_registry_matrix_is_a_rebuild(registry)
+    assert len(registry) > 130
 
 
 def test_registry_arrays_are_read_only():
@@ -1129,6 +1167,41 @@ def test_locate_step_matches_on_the_distances_of_the_placed_points(monkeypatch):
             placed = pairwise_squared_distances(scn.mics.positions(delta))
             assert np.array_equal(searched[-1], placed)
     assert len(searched) == len(scn.path) - 1
+
+
+# The names bench/run.py traces in reconstruction's namespace. A located
+# step must call each of them, or its per-layer metric reads 0.
+TRACED_STEP_NAMES = (
+    "echo_match",
+    "cm_polynomial_batch",
+    "match_submatrices",
+    "bordered_rank",
+    "self_locate",
+    "update_sources",
+    "affine_dimension",
+    "pairwise_squared_distances",
+)
+
+
+def test_located_step_calls_every_traced_name(monkeypatch):
+    called = set()
+    for name in TRACED_STEP_NAMES:
+
+        def recording(*args, _name=name, _real=getattr(reconstruction, name), **kwargs):
+            called.add(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(reconstruction, name, recording)
+    scn = box_scenario(noise_sigma=1e-3, seed=9)
+    registry, located = SourceRegistry(), 0
+    for idx, pose in enumerate(scn.path):
+        called.clear()
+        echoes = generate_echoes(scn, pose, idx)
+        result = locate_step(registry, scn.mics, echoes, scn.noise_sigma)
+        if result.pose is not None:
+            located += 1
+            assert called == set(TRACED_STEP_NAMES)
+    assert located > 0
 
 
 def test_locate_step_does_not_rebuild_the_registry_matrix(monkeypatch):
