@@ -34,7 +34,6 @@ from .reconstruction import (
     echo_match,
     locate_step,
     match_submatrices,
-    pose_to_euler,
     self_locate,
     update_sources,
 )
@@ -46,6 +45,7 @@ from .simulator import (
     echo_set_difference,
     generate_echoes,
     ground_truth_sources,
+    pose_to_euler,
     rotation_from_yaw_pitch_roll,
     world_microphones,
 )

@@ -14,13 +14,14 @@ import numpy as np
 import yaml
 
 from .geometry import Hyperplane, Wall
-from .reconstruction import SourceRegistry, locate_step, pose_to_euler
+from .reconstruction import SourceRegistry, locate_step
 from .simulator import (
     Pose,
     Scenario,
     ambiguity_pair,
     echo_set_difference,
     generate_echoes,
+    pose_to_euler,
     rotation_from_yaw_pitch_roll,
 )
 from .symmetry import (

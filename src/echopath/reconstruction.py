@@ -43,11 +43,11 @@ from .geometry import (
     pairwise_squared_distances,
     squared_distances,
 )
-from .simulator import _IDENTITY, EchoSet, Pose
+from .simulator import EchoSet, Pose
 
 
 class PoseInconsistencyError(RuntimeError):
-    """Recovered orientation is far from orthogonal (bad match or noise overload)."""
+    """Recovered orientation is no rotation (bad match, mirror image or noise overload)."""
 
 
 @dataclass(eq=False)
@@ -397,14 +397,14 @@ def self_locate(points, b, ortho_tol: float = 1e-6) -> Pose:
     points holds the four sources as placed in the vehicle frame (rows, as
     MicArray.positions returns them) and b their four reference points
     (rows, frozen frame). One 4x4 solve gives the affine map (A | v) that
-    takes points onto b. A must come out orthogonal; anything else means
-    the match was wrong or noise dominates. An exactly singular fit raises
-    DegenerateGeometryError, and so does a failed gate on points and
-    references that are both flat to round-off (coplanar, collinear or
-    coincident): their pose is not determined. When only one side is flat,
-    no rigid motion maps one onto the other, and PoseInconsistencyError
-    stands. The flatness test runs on failed fits only, so a located step
-    does not pay for it.
+    takes points onto b, and Pose(v, A, ortho_tol) must accept A as a
+    rotation; a reflection or a non-orthogonal A means the match was wrong
+    or noise dominates, and PoseInconsistencyError carries Pose's message.
+    An exactly singular fit raises DegenerateGeometryError, and so does a
+    rejected fit on points and references that are both flat to round-off
+    (coplanar, collinear or coincident): their pose is not determined. When
+    only one side is flat, no rigid motion maps one onto the other. The
+    flatness test runs on rejected fits only, so a located step skips it.
     """
     points = np.asarray(points, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -418,36 +418,13 @@ def self_locate(points, b, ortho_tol: float = 1e-6) -> Pose:
         av = np.linalg.solve(local, b)
     except np.linalg.LinAlgError as exc:
         raise DegenerateGeometryError("reference points do not span the space") from exc
-    rot, v = av[:3].T, av[3]
-    defect = float(abs(rot.T @ rot - _IDENTITY).max())
-    if not defect <= ortho_tol:  # a non-finite defect fails too
+    try:
+        return Pose(av[3], av[:3].T, ortho_tol)
+    except ValueError as exc:
         flat = affine_dimension(local[:, :3], _FLAT_TOL) < 3
         if flat and affine_dimension(b, _FLAT_TOL) < 3:
-            raise DegenerateGeometryError("reference points do not span the space")
-        raise PoseInconsistencyError(
-            f"recovered orientation deviates from orthogonal by {defect:.3e}"
-        )
-    return Pose(v, rot, ortho_tol=max(ortho_tol, 1e-9))
-
-
-def pose_to_euler(a) -> tuple[float, float, float]:
-    """Yaw, pitch and roll angles of an orientation matrix (Z-Y-X convention).
-
-    At the gimbal singularity |a31| = 1 the roll is fixed to zero and the
-    returned yaw is one representative of the one-parameter family.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3, 3):
-        raise ValueError("expected a 3x3 orientation matrix")
-    if abs(a[2, 0]) >= 1.0 - 1e-12:
-        pitch = -np.sign(a[2, 0]) * np.pi / 2.0
-        roll = 0.0
-        yaw = float(np.arctan2(-a[0, 1], a[1, 1]))
-    else:
-        yaw = float(np.arctan2(a[1, 0], a[0, 0]))
-        pitch = float(-np.arcsin(np.clip(a[2, 0], -1.0, 1.0)))
-        roll = float(np.arctan2(a[2, 1], a[2, 2]))
-    return yaw, float(pitch), roll
+            raise DegenerateGeometryError("reference points do not span the space") from exc
+        raise PoseInconsistencyError(str(exc)) from exc
 
 
 def update_sources(points, registry: SourceRegistry, dedup_eps: float = 1e-3) -> list:
@@ -499,17 +476,18 @@ def locate_step(
     the four matched placed points (self_locate), return it in the frozen
     frame and map every detected source through it before registering the
     unseen ones (update_sources). Each source is placed once, and no solve
-    runs against C. On failure the registry is left exactly as it was.
+    runs against C. A fit that is no rotation, a mirror image included,
+    FAILs; on failure the registry is left exactly as it was.
 
     Every threshold follows from noise_sigma, the std of the travel-distance
     noise. At zero they are tight enough for exact arithmetic. Under noise
     the echo-root test is widened per column (see echo_match), matching and
     rank tolerances are wide enough for noise-perturbed source geometry, the
-    dedup radius lies above the per-source position scatter, and a loose
-    orthogonality gate still rejects false matches. The rank tests are
-    scale-free (see affine_dimension and bordered_rank); the distance-equality
-    tolerance (m^2) and the dedup radius (m) are absolute, calibrated for
-    rooms of a few metres.
+    dedup radius lies above the per-source position scatter, and Pose's
+    orthogonality tolerance is loose (its det A > 0 test has no tolerance).
+    The rank tests are scale-free (see affine_dimension and bordered_rank);
+    the distance-equality tolerance (m^2) and the dedup radius (m) are
+    absolute, calibrated for rooms of a few metres.
 
     mic_local is a MicArray or the microphones' local coordinates; a run
     passes its scenario's MicArray to every step. A bad microphone array or

@@ -30,8 +30,7 @@ from .geometry import (
 
 ORTHOGONALITY_TOL = 1e-9
 _MIC_SOURCE_EPS = 1e-9
-# A^T A - I is an orientation's orthogonality defect.
-_IDENTITY = np.eye(3)
+_IDENTITY = np.eye(3)  # A^T A - I is an orientation's orthogonality defect
 _IDENTITY.flags.writeable = False
 
 
@@ -46,10 +45,27 @@ def rotation_from_yaw_pitch_roll(yaw: float, pitch: float, roll: float) -> np.nd
     return rz @ ry @ rx
 
 
+def pose_to_euler(a) -> tuple[float, float, float]:
+    """Yaw, pitch and roll of an orientation matrix: rotation_from_yaw_pitch_roll's inverse.
+
+    At the gimbal singularity |a31| = 1 the roll is fixed to zero and the
+    returned yaw is one representative of the one-parameter family.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape != (3, 3):
+        raise ValueError("expected a 3x3 orientation matrix")
+    if abs(a[2, 0]) >= 1.0 - 1e-12:
+        return float(np.arctan2(-a[0, 1], a[1, 1])), float(-np.sign(a[2, 0]) * np.pi / 2.0), 0.0
+    yaw, roll = np.arctan2(a[1, 0], a[0, 0]), np.arctan2(a[2, 1], a[2, 2])
+    return float(yaw), float(-np.arcsin(np.clip(a[2, 0], -1.0, 1.0))), float(roll)
+
+
 class Pose:
     """Vehicle state: center-of-mass position v and orientation matrix A.
 
-    A must be orthogonal; its columns are the vehicle's principal axes
+    A must be a rotation, and this is the one check of an orientation: finite,
+    orthogonal (max |A^T A - I| <= ortho_tol) and proper (det A > 0), so no
+    fit of a mirror image passes. Its columns are the vehicle's principal axes
     expressed in the surrounding frame. A pose is a frozen value holding one
     (4, 3) array of its own, A in rows 0-2 and v in row 3, so a run's records
     keep one array per pose; v and A are views of it.
@@ -65,8 +81,12 @@ class Pose:
         if not np.isfinite(a).all():
             raise ValueError("orientation matrix must be finite")
         defect = abs(a.T @ a - _IDENTITY).max()
-        if defect > ortho_tol:
+        if not defect <= ortho_tol:  # a NaN tolerance fails too
             raise ValueError(f"orientation matrix is not orthogonal (defect {defect:.2e})")
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a.tolist()  # det A, the rows' triple product
+        det = a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
+        if det <= 0.0:
+            raise ValueError(f"orientation matrix is a reflection (det {det:.2e})")
         av = np.empty((4, 3))
         av[:3], av[3] = a, v
         object.__setattr__(self, "_av", av)

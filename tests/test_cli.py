@@ -121,6 +121,15 @@ def test_load_accepts_integer_numbers(scenario_dir, tmp_path):
     assert np.allclose(scn.path[1].A, rotation_from_yaw_pitch_roll(1.0, -0.1, 0.05))
 
 
+def test_load_rejects_a_reflected_orientation(scenario_dir, tmp_path):
+    path = tmp_path / "mirrored.yaml"
+    text = (scenario_dir / "box_room.yaml").read_text()
+    mirror = "orientation: [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]"
+    path.write_text(text.replace("yaw: -0.8, pitch: 0.15, roll: 0.25", mirror, 1))
+    with pytest.raises(ScenarioError, match=r"^path\[3\]: .*reflection"):
+        load_scenario(path)
+
+
 def test_load_parse_error(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("walls: [unclosed\n")
@@ -317,6 +326,11 @@ def test_cli_genericity_rejects_nan_wall_offset(scenario_dir, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "offset must be finite" in captured.err
     assert "passed" not in captured.out
+
+
+def test_cli_genericity_axis_speaker_fails(scenario_dir, capsys):
+    assert main(["genericity", str(scenario_dir / "box_room_axis.yaml")]) == 0
+    assert "failed: factor" in capsys.readouterr().out
 
 
 def test_cli_genericity_generic_point_passes(scenario_dir, capsys):

@@ -1099,7 +1099,8 @@ def test_full_path_replay_adds_no_sources():
 def noisy_box_run_scenario() -> Scenario:
     """32 random poses in a 6 x 5 x 3 m box at sigma = 1 mm.
 
-    Ghost sources grow the registry to 166 sources; two steps fail.
+    Ghost sources grow the registry to 153 sources; steps 16, 18, 26 and 31
+    fail, the last two because their fit is a reflection.
     """
     rng = np.random.default_rng(1)
     path = tuple(
@@ -1286,7 +1287,7 @@ def test_noisy_box_run_succeeds_on_seed_19():
     strict=True,
     raises=AssertionError,
     reason="ROADMAP item 2: the lexicographically least 4-point match fixes the pose "
-    "unverified; here steps 16 and 18 fail with a PoseInconsistencyError",
+    "unverified; here steps 16, 18, 26 and 31 fail with a PoseInconsistencyError",
 )
 def test_noisy_box_32_pose_run_has_no_fail():
     from echopath import run
@@ -1294,6 +1295,48 @@ def test_noisy_box_32_pose_run_has_no_fail():
     records, metrics = run(noisy_box_run_scenario())
     assert [r.fail_reason for r in records] == [None] * len(records)
     assert metrics.fail_count == 0
+
+
+def test_noisy_box_32_pose_run_returns_rotations_only():
+    from echopath import run
+
+    records, _ = run(noisy_box_run_scenario())
+    located = [r.est_pose.A for r in records if r.est_pose is not None]
+    assert len(located) > 20
+    assert all(np.linalg.det(a) > 0.0 for a in located)
+
+
+def test_midplane_speaker_steps_fail_rather_than_return_a_reflection():
+    # With the speaker on the box's midplane x = 3, squared distances cannot
+    # tell the sources from their mirror images, and the least match of five
+    # steps fits a reflection: those steps FAIL, and every pose is exact.
+    from echopath import run
+
+    records, _ = run(box_scenario(speaker=[3.0, 2.3, 1.7]))
+    failed = [r for r in records if r.status == "fail"]
+    assert [r.step_index for r in failed] == [2, 3, 6, 7, 9]
+    assert all("PoseInconsistencyError" in r.fail_reason for r in failed)
+    assert all("reflection" in r.fail_reason for r in failed)
+    located = [r for r in records if r.status == "success"]
+    assert len(located) == 4
+    for r in located:
+        assert np.linalg.det(r.est_pose.A) > 0.0
+        assert r.position_error <= 1e-6 and r.orientation_error <= 1e-6
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 4: with the speaker on the box's vertical axis, a half turn "
+    "about the axis explains the same echoes; steps 2, 6 and 9 return that rotation",
+)
+def test_axis_speaker_run_is_exact(scenario_dir):
+    from echopath import load_scenario, run
+
+    records, _ = run(load_scenario(scenario_dir / "box_room_axis.yaml"))
+    for r in records:
+        if r.status == "success":
+            assert r.position_error <= 1e-6 and r.orientation_error <= 1e-6
 
 
 BOX_CENTRE = np.array([3.0, 2.5, 1.5])

@@ -380,6 +380,21 @@ def test_pose_requires_orthogonal_matrix():
     Pose([1, 2, 3], skew)  # fine
 
 
+def test_pose_rejects_reflections():
+    with pytest.raises(ValueError, match="reflection"):
+        Pose([0, 0, 0], np.diag([-1.0, 1.0, 1.0]))
+    mirrored = rotation_from_yaw_pitch_roll(0.3, -0.2, 0.9) @ np.diag([1.0, 1.0, -1.0])
+    for tol in (1e-9, 0.25):
+        with pytest.raises(ValueError, match="reflection"):
+            Pose([1, 2, 3], mirrored, ortho_tol=tol)
+
+
+def test_pose_rejects_a_nan_tolerance():
+    for a in (5.0 * np.eye(3), np.eye(3)):
+        with pytest.raises(ValueError, match="not orthogonal"):
+            Pose([0, 0, 0], a, ortho_tol=float("nan"))
+
+
 def test_pose_is_a_frozen_value_with_one_array_of_its_own():
     v, a = np.array([1.0, 2.0, 3.0]), rotation_from_yaw_pitch_roll(0.3, -0.2, 0.9)
     pose = Pose(v, a, ortho_tol=1e-6)
