@@ -86,15 +86,28 @@ class MicArray:
     """The vehicle's four microphones, checked once, and their Cayley-Menger matrix.
 
     local holds the microphone coordinates in the vehicle frame (4 x 3), c the
-    5x5 bordered matrix of their squared mutual distances, c_inv its inverse
-    and abs_det_c |det c|. The distances do not change as the vehicle moves,
-    so one value serves a whole scenario; the arrays are read-only copies.
+    5x5 bordered matrix of their squared mutual distances, c_inv = G its
+    inverse and abs_det_c |det c|. The distances do not change as the vehicle
+    moves, so one value serves a whole scenario; the arrays are read-only
+    copies.
+
+    The echo form y^T G y, y = (1, x1, x2, x3, x4) = (u, x4), is also kept in
+    vertex form in x4: u^T S u - a (x4 - z)^2 with a = vertex_a = -G_44 > 0
+    (non-coplanar microphones), S = vertex_s = G_uu + G_u4 G_u4^T / a and
+    z = vertex_z . u, vertex_z = G_u4 / a. form_bound = max(max|G|,
+    |G_u4|^2 / a) bounds every |G_ij|, and |G_ij| + |G_i4 G_j4| / a, a bound
+    on |S_ij|, by 1.5 form_bound; the round-off pad of the echo windows reads
+    it (reconstruction._root_window_grid).
     """
 
     local: np.ndarray
     c: np.ndarray = field(init=False)
     c_inv: np.ndarray = field(init=False)
     abs_det_c: float = field(init=False)
+    vertex_s: np.ndarray = field(init=False)
+    vertex_z: np.ndarray = field(init=False)
+    vertex_a: float = field(init=False)
+    form_bound: float = field(init=False)
 
     def __post_init__(self):
         local = np.array(self.local, dtype=float)
@@ -105,10 +118,16 @@ class MicArray:
         if affine_dimension(local) != 3:
             raise DegenerateGeometryError("mic_local must be non-coplanar")
         c = border(pairwise_squared_distances(local))  # a valid distance matrix by construction
-        for name, value in (("local", local), ("c", c), ("c_inv", np.linalg.inv(c))):
+        g = np.linalg.inv(c)
+        a, g4 = -float(g[4, 4]), g[:4, 4]
+        s, z = g[:4, :4] + np.outer(g4, g4) / a, g4 / a
+        arrays = ("local", local), ("c", c), ("c_inv", g), ("vertex_s", s), ("vertex_z", z)
+        for name, value in arrays:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "abs_det_c", abs(float(np.linalg.det(c))))
+        object.__setattr__(self, "vertex_a", a)
+        object.__setattr__(self, "form_bound", max(float(np.abs(g).max()), float(g4 @ g4) / a))
 
     def positions(self, delta) -> np.ndarray:
         """Vehicle-frame positions of sources at squared distances delta from the microphones.

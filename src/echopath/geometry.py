@@ -193,15 +193,26 @@ def linearly_independent_hyperplanes(hs, tol: float = DEFAULT_RANK_TOL) -> bool:
 
 
 def pairwise_squared_distances(points) -> np.ndarray:
-    """Symmetric matrix of squared Euclidean distances with zero diagonal,
-    of the points copied to C order (einsum rounds by memory layout)."""
-    pts = np.atleast_2d(np.ascontiguousarray(points, dtype=float))
+    """Symmetric matrix of squared Euclidean distances with zero diagonal."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = squared_distances(pts, pts)
     np.fill_diagonal(d, 0.0)
     return d
 
 
 def squared_distances(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(m, n) squared distances from C-ordered rows (m, d) to points (n, d)."""
-    diff = rows[:, None, :] - points[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """(m, n) squared distances from rows (m, d) to points (n, d).
+
+    One subtract.outer per coordinate, squared in place; elementwise
+    arithmetic rounds alike for any memory layout. In 3-d the terms are added
+    as (dx^2 + dz^2) + dy^2, the order of einsum("ijk,ijk->ij") on the
+    differences, so the values equal its bit for bit; 2-d addition commutes.
+    """
+    terms = [np.subtract.outer(r, p) for r, p in zip(rows.T, points.T)]
+    for diff in terms:
+        diff *= diff
+    if len(terms) == 3:
+        terms[0] += terms[2]
+        terms[0] += terms[1]
+        return terms[0]
+    return sum(terms[1:], terms[0])

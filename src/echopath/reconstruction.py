@@ -80,15 +80,15 @@ class SourceRegistry:
     def extend(self, points) -> None:
         """Register points (3-vectors) and their rows of the distance matrix.
 
-        The points are copied to C order and their rows use the formula of
+        The points are copied, and their rows use the formula of
         pairwise_squared_distances, so the matrix equals that of all points
-        bit for bit, whatever the input's memory layout.
+        bit for bit.
         """
-        new = np.array(points, dtype=float, order="C").reshape(-1, 3)
+        new = np.array(points, dtype=float).reshape(-1, 3)
         self._append(new, squared_distances(new, np.concatenate([self.as_array(), new])))
 
     def _append(self, new: np.ndarray, rows: np.ndarray) -> None:
-        """Own C-ordered points new (m, 3) and their rows (m, n + m) of the
+        """Own the points new (m, 3) and their rows (m, n + m) of the
         matrix. The buffers grow by doubling: O(m n) amortized."""
         n, m = len(self.sources), len(new)
         if m == 0:
@@ -181,61 +181,101 @@ _NOISE_MARGIN = 8.0
 _EPS = np.finfo(float).eps
 
 
+def _echo_vertex(mics: MicArray, sets, root_tol: float, noise_sigma: float):
+    """The echo form over the (x1, x2, x3) triples of sets, in vertex form.
+
+    sets[3] must be sorted. Returns e = u^T S u, u = (1, x1, x2, x3), as an
+    (n3, n1 n2) array (a row per x3, a column per (x1, x2) pair); zp, the
+    pairs' part of z, so that z = zp + vertex_z[3] x3 at each triple; the
+    window threshold tau (a float, or one per triple under noise) and the
+    round-off pad (see _root_window_grid).
+    """
+    (s00, s01, s02, s03), (_, s11, s12, s13), (*_, s22, s23), (*_, s33) = mics.vertex_s.tolist()
+    z0, z1, z2, _ = mics.vertex_z.tolist()
+    s1, s2, x3, s4 = sets
+    c3 = x3[:, None]
+    # The terms of x1, of x2 and of the pair, then the polynomial in x3.
+    pairs = (s00 + s1 * (2.0 * s01 + s11 * s1))[:, None] + s2 * (2.0 * s02 + s22 * s2)
+    pairs += (2.0 * s12 * s1)[:, None] * s2
+    e = ((2.0 * s03 + 2.0 * s13 * s1)[:, None] + 2.0 * s23 * s2).ravel() + s33 * c3
+    e *= c3
+    e += pairs.ravel()
+    zp = ((z0 + z1 * s1)[:, None] + z2 * s2).ravel()
+    top = [np.maximum.reduce(s) for s in sets]
+    tau = (root_tol / mics.abs_det_c) * max(top) ** 3
+    std_max, tau_max = 0.0, tau
+    if noise_sigma > 0.0:
+        g, n1, n2 = mics.c_inv[1:, :, None, None], s1.size, s2.size
+        # Rows 1-4 of G y at x4 = max S4, and their values at min S4.
+        high = (g[:, 0] + g[:, 4] * top[3]) + g[:, 1] * s1[:, None] + g[:, 2] * s2
+        high = high.reshape(4, 1, -1) + g[:, 3] * c3
+        w = np.maximum(np.abs(high), np.abs(high - g[:, 4] * (top[3] - s4[0])))
+        # Row k of w takes the entry std, 2 sqrt(x) sigma + sigma^2, of set k.
+        std = 2.0 * np.sqrt(np.concatenate([s1, s2, x3, top[3:]])) * noise_sigma + noise_sigma**2
+        w = w.reshape(4, x3.size, n1, n2)
+        w[0] *= std[:n1, None]
+        w[1] *= std[n1 : n1 + n2]
+        w[2] *= std[n1 + n2 : -1, None, None]
+        w[3] *= std[-1]
+        tau = tau + 2.0 * _NOISE_MARGIN * np.sqrt(np.add.reduce(w * w, 0)).reshape(x3.size, -1)
+        std_max, tau_max = 2.0 * np.sqrt(max(top)) * noise_sigma + noise_sigma**2, tau.max()
+    y_sum = 1.0 + sum(top)
+    pad = mics.form_bound * y_sum * (y_sum + 2.0 * _NOISE_MARGIN * std_max)
+    return e, zp, tau, 64.0 * _EPS * (pad + tau_max)
+
+
 def _root_window_grid(mics: MicArray, sets, root_tol, noise_sigma) -> np.ndarray:
     """Rows of the product grid of sets that can pass echo_match's test.
 
-    With y = (1, x) and G = C^{-1} the test bounds |y^T G y| by its threshold
-    over |det C|. For fixed (x1, x2, x3) the form is e - a (x4 - z)^2 with
-    a = -G_44 > 0 (non-coplanar microphones), so accepted x4 lie in two
-    windows around its roots. tau bounds the scaled threshold on [min S4,
-    max S4]: max(x)^3 and the entry std of x4 peak at max S4, and the
-    gradient -2 det C G y is affine in x4, so its entries peak at an end.
-    Rounding adds 16 eps (a z^2 + tau + y^T |G| y at max S4), for the vertex
-    form and windows, the threshold, and the form here and in the test, which
-    both read the MicArray's G. Every entry of y is positive, so y^T |G| y is
-    at most max|G| (sum y)^2, which the pad takes in its place.
+    With y = (1, x) = (u, x4), u = (1, x1, x2, x3), and G = C^{-1}, the test
+    bounds |y^T G y| by its threshold over |det C|. In MicArray's vertex form
+    y^T G y = e - a (x4 - z)^2, a > 0, with the peak e and z fixed by the
+    triple (x1, x2, x3) (_echo_vertex). tau is at least every threshold the
+    test applies: root_tol max(x)^3 / |det C| with max(x) over all four sets,
+    and under noise the noise term per triple (the entry std of x4 peaks at
+    max S4, and rows 1-4 of G y are affine in x4, so their entries peak at an
+    end of [min S4, max S4]). Only triples with e >= -tau - pad can have rows
+    in the window, as a (x4 - z)^2 rounds to no less than 0; their rows are
+    kept when |e - a (x4 - z)^2| <= tau + pad, for every x4 of the set.
+
+    The pad bounds the round-off of both evaluations to first order, with
+    eps = 2^-52, m = mics.form_bound and Y = 1 + the sum of the four sets'
+    maxima, which bounds sum(y) as every entry is positive:
+    - cm_polynomial_batch sums five products in sequence, twice: its value
+      over -|det C| is within 5 eps y^T |G| y <= 5 eps m Y^2 of y^T G y;
+    - vertex_s rounds within 1.5 eps (|G_ij| + |G_i4 G_j4| / a) <= 3 eps m
+      per entry, and each term of e takes at most 7 roundings, 3.5 eps of
+      |S_ij| u_i u_j <= 1.5 m u_i u_j: e is within 10 eps m Y^2 of u^T S u;
+    - each term of z takes at most 5 roundings, vertex_z's included, so z is
+      within 2.5 eps r of its value, r = max|G_u4| sum(u) / a >= |z|; with
+      the 4 roundings of e - a (x4 - z)^2 this moves the value by at most
+      7.5 eps a (max S4 + r)^2 + 0.5 eps |e| <= 16 eps m Y^2, as a <= m and
+      a r^2 <= m sum(u)^2;
+    - the test's threshold and tau each round within 7.5 eps of their value;
+    - under noise the test's gradient and the window's w each round within
+      4 eps m Y per entry, and every entry std is at most std_max =
+      2 sqrt(max(x)) sigma + sigma^2, so the noise terms differ by at most
+      256 eps m Y std_max.
+    The pad, 64 eps (m Y (Y + 2 _NOISE_MARGIN std_max) + max tau), is at
+    least twice the sum, 31 eps m Y^2 + 15 eps max tau + 256 eps m Y std_max.
     """
-    g, (s1, s2, x3), s4 = mics.c_inv, sets[:3], np.sort(sets[3])
-    lo4, hi4 = s4[0], s4[-1]
-    n1, n2, n3 = s1.size, s2.size, x3.size
-    y = np.empty((n1, n2, 5))
-    y[...] = (1.0, 0.0, 0.0, 0.0, hi4)
-    y[:, :, 1], y[:, :, 2] = s1[:, None], s2
-    y = y.reshape(-1, 5)  # rows (1, x1, x2, 0, max S4), one per (x1, x2) pair
-    a = -g[4, 4]
-    gy = y @ g  # G y per pair, less its x3 part
-    z = hi4 + (gy[:, 4:] + g[4, 3] * x3) / a  # where (G y)_4, half the x4 slope, is 0
-    # y^T G y over the triples, as (x1, x2) pairs by x3, is e - a (x4 - z)^2.
-    e = np.einsum("ij,ij->i", y, gy)[:, None] + x3 * (2.0 * gy[:, 3:4] + g[3, 3] * x3)
-    e += a * (hi4 - z) ** 2
-    # max(x)^3 is the larger of a pair's cube, max(x1, x2, max S4)^3, and x3^3.
-    cube = np.maximum(np.maximum(s1[:, None] ** 3, s2**3), hi4**3).reshape(-1, 1)
-    tau = (root_tol / mics.abs_det_c) * np.maximum(cube, x3**3)
+    s1, s2, x3, s4 = sets
+    s4 = np.sort(s4)
+    e, zp, tau, pad = _echo_vertex(mics, (s1, s2, x3, s4), root_tol, noise_sigma)
+    tau = tau + pad
+    t = (e >= -tau).ravel().nonzero()[0]  # the form peaks at e
+    k3, pair = np.divmod(t, zp.size)
     if noise_sigma > 0.0:
-        # Rows 1-4 of G y at x4 = max S4, in C order: the sum over rows adds slabs.
-        high = np.add(gy.T[1:, :, None], g[1:, 3, None, None] * x3, order="C")
-        w = np.maximum(np.abs(high), np.abs(high - g[1:, 4, None, None] * (hi4 - lo4)))
-        # Row k of w takes the entry std, 2 sqrt(x) sigma + sigma^2, of set k.
-        std = 2.0 * np.sqrt(np.concatenate([s1, s2, x3, [hi4]])) * noise_sigma + noise_sigma**2
-        parts = std[:n1, None, None], std[n1 : n1 + n2, None], std[n1 + n2 : -1], std[-1]
-        for row, part in zip(w.reshape(4, n1, n2, n3), parts):
-            row *= part
-        tau += 2.0 * _NOISE_MARGIN * np.sqrt(np.add.reduce(w * w, 0)).reshape(-1, n3)
-    y_sum = (((1.0 + s1)[:, None] + s2) + hi4).reshape(-1, 1) + x3
-    tau += 16.0 * _EPS * (np.maximum.reduce(np.abs(g), None) * y_sum**2 + a * z**2 + tau)
-    # Only triples whose form reaches -tau in [min S4, max S4] have candidates.
-    t = (e + tau >= a * (np.minimum(np.maximum(z, lo4), hi4) - z) ** 2).ravel().nonzero()[0]
-    z, e, tau = z.ravel()[t], e.ravel()[t], tau.ravel()[t]
-    near, far = np.sqrt(np.maximum(e - tau, 0.0) / a), np.sqrt((e + tau) / a)
-    lo = s4.searchsorted(np.concatenate([z - far, z + near]))
-    hi = s4.searchsorted(np.concatenate([z - near, z + far]), "right")
-    lo[t.size :] = np.maximum(lo[t.size :], hi[: t.size])  # an entry in both is taken once
-    count = hi - lo
-    triple = np.concatenate([t, t]).repeat(count)
-    entry = (lo - count.cumsum() + count).repeat(count) + np.arange(np.add.reduce(count))
-    pair, k3 = np.divmod(triple, n3)
-    grid = np.empty((triple.size, 4))
-    grid[:, :2], grid[:, 2], grid[:, 3] = y[pair, 1:3], x3[k3], s4[entry]
+        tau = tau.ravel()[t]
+    # e - a (x4 - z)^2 on the triples left, a column each.
+    v = s4[:, None] - (zp[pair] + mics.vertex_z[3] * x3[k3])
+    v *= v
+    v *= mics.vertex_a
+    np.subtract(e.ravel()[t], v, out=v)
+    k4, col = np.divmod((np.abs(v, out=v) <= tau).ravel().nonzero()[0], t.size)
+    k1, k2 = np.divmod(pair[col], s2.size)
+    grid = np.empty((col.size, 4))
+    grid[:, 0], grid[:, 1], grid[:, 2], grid[:, 3] = s1[k1], s2[k2], x3[k3[col]], s4[k4]
     return grid
 
 
@@ -250,6 +290,8 @@ def echo_match(
     A column (d1, d2, d3, d4) from the product of the four echo sets is kept
     when the Cayley-Menger polynomial of the microphones vanishes on it,
     relative to root_tol times (max d_i)^3. Duplicate columns are merged.
+    root_tol must be nonnegative and finite; at 0 a column is kept only when
+    its polynomial rounds to 0.
 
     With noise_sigma > 0 the root test is additionally widened per tuple by
     eight times the polynomial's predicted noise std, so true columns
@@ -257,15 +299,20 @@ def echo_match(
     consistency under noise are kept as well; such ghost columns are expected
     to be discarded later by failing to match known sources.
 
-    The polynomial is quadratic in d4, so for each (d1, d2, d3) only the d4
-    in two windows around its roots are tested. The windows hold every d4
-    the test accepts, at any noise level (see _root_window_grid), so the
-    result equals that of testing the full grid.
+    The polynomial is quadratic in d4, -|det C| (e - a (d4 - z)^2) in the
+    MicArray's vertex form, with e and z fixed by (d1, d2, d3). Triples whose
+    peak e falls below the threshold have no candidates; for the others every
+    d4 is checked against the threshold in vertex form, padded for round-off,
+    and only the rows that pass are tested. They hold every column the test
+    accepts, at any noise level (see _root_window_grid), so the result equals
+    that of testing the full grid.
 
     mics is a MicArray or the microphones' local coordinates.
     """
     mics = _mic_array(mics)
-    if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
+    if not 0.0 <= root_tol < np.inf:
+        raise ValueError("root_tol must be nonnegative and finite")
+    if not 0.0 <= noise_sigma < np.inf:
         raise ValueError("noise_sigma must be nonnegative and finite")
     sets = [np.asarray(s, dtype=float) for s in e.d_sets]
     if any(s.size == 0 for s in sets):
@@ -432,11 +479,11 @@ def update_sources(points, registry: SourceRegistry, dedup_eps: float = 1e-3) ->
 
     A point within squared distance dedup_eps**2 of a registered source (or
     of an earlier new point) is already known. One pass of the registry's
-    formula, on the points copied to C order, gives these squared distances;
-    the kept points' rows are what the registry stores. Returns the list of
-    newly added points; the registry is extended in place.
+    formula gives these squared distances; the kept points' rows are what the
+    registry stores. Returns the list of newly added points; the registry is
+    extended in place.
     """
-    points = np.ascontiguousarray(points, dtype=float)
+    points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError("update_sources expects points as the rows of an (m, 3) array")
     n = len(registry)

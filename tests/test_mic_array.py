@@ -100,6 +100,16 @@ def test_bad_noise_level_is_rejected(call, sigma):
     assert len(registry) == n_known
 
 
+@pytest.mark.parametrize("root_tol", [np.nan, -1.0, np.inf, -np.inf])
+def test_bad_root_tolerance_is_rejected(root_tol):
+    # NaN and -1 used to keep no column, +inf every grid row.
+    scn = box_scenario()
+    echoes = generate_echoes(scn, scn.path[0], 0)
+    assert echo_match(scn.mics, echoes, 1e-9).n_sources == 7
+    with pytest.raises(ValueError, match="root_tol must be nonnegative and finite"):
+        echo_match(scn.mics, echoes, root_tol)
+
+
 def test_mic_array_holds_read_only_copies():
     source = MICS.copy()
     mics = MicArray(source)
@@ -112,6 +122,23 @@ def test_mic_array_holds_read_only_copies():
     for array in (mics.local, mics.c, mics.c_inv):
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
+
+
+def test_mic_array_vertex_form_is_the_echo_form():
+    rng = np.random.default_rng(5)
+    mics = MicArray(MICS)
+    g, a = mics.c_inv, mics.vertex_a
+    assert a == -g[4, 4] > 0.0
+    assert mics.form_bound >= max(np.abs(g).max(), np.max(g[:4, 4] ** 2) / a)
+    for array in (mics.vertex_s, mics.vertex_z):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    y = np.vstack([np.ones(50), rng.uniform(0.1, 30.0, (4, 50))])
+    u, x4 = y[:4], y[4]
+    form = np.einsum("ij,ik,kj->j", y, g, y)
+    vertex = np.einsum("ij,ik,kj->j", u, mics.vertex_s, u) - a * (x4 - mics.vertex_z @ u) ** 2
+    scale = np.abs(g).max() * y.sum(axis=0) ** 2
+    assert np.all(np.abs(form - vertex) <= 1e-12 * scale)
 
 
 def test_echo_match_solves_nothing_and_reads_the_arrays_inverse(monkeypatch):

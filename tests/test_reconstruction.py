@@ -362,6 +362,58 @@ def test_echo_match_tests_under_a_tenth_of_the_grid_under_noise(polynomial_rows)
     assert sum(polynomial_rows) < 0.1 * grid
 
 
+def test_echo_match_tests_under_a_thousandth_of_the_grid_without_noise(polynomial_rows):
+    rng = np.random.default_rng(69)
+    grid = 0
+    for _ in range(20):
+        mics = random_mics(rng)
+        e = noisy_echo_sets(rng, mics, 14, 0, 0.0)
+        assert echo_match(mics, e, 1e-9).n_sources >= 14
+        grid += np.prod([len(s) for s in e.d_sets])
+    assert sum(polynomial_rows) < 1e-3 * grid
+
+
+def mirror_in_plane(point, plane):
+    """point reflected in the plane through the three rows of plane."""
+    normal = np.cross(plane[1] - plane[0], plane[2] - plane[0])
+    normal /= np.linalg.norm(normal)
+    return point - 2.0 * ((point - plane[0]) @ normal) * normal
+
+
+def test_echo_window_pad_bounds_its_rounding_gap():
+    # The window evaluates the form as e - a (x4 - z)^2, the test as
+    # cm_polynomial_batch; the pad must cover their gap on every grid row. The
+    # fourth set holds both roots of each source (its own x4 and that of its
+    # mirror image in the plane of the first three microphones) and entries
+    # an ulp and a relative 1e-12 away, on round and flat arrays. At root_tol
+    # 0 without noise the pad is the round-off term alone.
+    rng = np.random.default_rng(71)
+    worst = 0.0
+    for i in range(40):
+        mics = random_mics(rng)
+        if i % 2:
+            mics[:, 2] *= 1e-2
+        mic_array = MicArray(mics)
+        sources = rng.uniform(-4.0, 4.0, (3, 3))
+        profiles = np.sum((sources[:, None, :] - mics) ** 2, axis=2)
+        roots = [profiles[:, 3]]
+        roots.append([np.sum((mirror_in_plane(p, mics[:3]) - mics[3]) ** 2) for p in sources])
+        roots = np.concatenate(roots)
+        near = [roots * (1.0 + k * 1e-12) for k in (-1.0, 1.0)]
+        near += [np.nextafter(roots, k * np.inf) for k in (-1.0, 1.0)]
+        s4 = np.sort(np.concatenate([roots, *near]))
+        s1, s2, x3 = (profiles[:, k] for k in range(3))
+        e, zp, _, pad = reconstruction._echo_vertex(mic_array, (s1, s2, x3, s4), 0.0, 0.0)
+        z = zp + mic_array.vertex_z[3] * x3[:, None]
+        window = e[..., None] - mic_array.vertex_a * (s4 - z[..., None]) ** 2
+        grid = np.stack(np.meshgrid(x3, s1, s2, s4, indexing="ij"), axis=-1)[..., [1, 2, 0, 3]]
+        form = cm_polynomial_batch(mic_array, grid.reshape(-1, 4)) / -mic_array.abs_det_c
+        gap = np.abs(form - window.ravel()).max()
+        assert gap <= pad
+        worst = max(worst, gap / pad)
+    assert worst > 0.0
+
+
 def test_detected_distance_matrix_single_source():
     scn = box_scenario()
     assignment = echo_match(scn.mic_local, generate_echoes(scn, scn.path[0]), 1e-9)
