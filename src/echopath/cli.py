@@ -90,10 +90,18 @@ def _number(doc: dict, key: str, default, where: str | None = None) -> float:
     return float(_typed(doc, key, default, (int, float), where))
 
 
+def _coordinates(value, where: str) -> np.ndarray:
+    """value as a float array; a value NumPy cannot convert is a ScenarioError naming where."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:  # a mapping, a word or a ragged list
+        raise ScenarioError(f"{where}: must be an array of numbers, got {value!r}") from exc
+
+
 def _load_wall(entry, where: str) -> Wall:
     _require(isinstance(entry, dict), where, "expected a mapping with 'normal' and 'offset'")
     _require("normal" in entry and "offset" in entry, where, "needs 'normal' and 'offset'")
-    normal = np.asarray(entry["normal"], dtype=float)
+    normal = _coordinates(entry["normal"], f"{where}.normal")
     offset = _number(entry, "offset", None, f"{where}.offset")
     norm = float(np.linalg.norm(normal))
     _require(norm > 0.0 and np.isfinite(norm), f"{where}.normal", "must be a nonzero vector")
@@ -102,8 +110,10 @@ def _load_wall(entry, where: str) -> Wall:
             f"{where}.normal has length {norm:.6g}; renormalizing and rescaling the offset"
         )
     boundary = entry.get("boundary")
+    if boundary is not None:
+        boundary = _coordinates(boundary, f"{where}.boundary")
     try:
-        return Wall(Hyperplane(normal, offset), None if boundary is None else np.asarray(boundary, dtype=float))
+        return Wall(Hyperplane(normal, offset), boundary)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
@@ -112,13 +122,14 @@ def _load_pose(entry, where: str) -> Pose:
     _require(isinstance(entry, dict), where, "expected a mapping")
     _require("position" in entry, where, "needs 'position'")
     if "orientation" in entry:
-        a = np.asarray(entry["orientation"], dtype=float)
+        a = _coordinates(entry["orientation"], f"{where}.orientation")
     else:
         a = rotation_from_yaw_pitch_roll(
             *(_number(entry, key, 0.0, f"{where}.{key}") for key in ("yaw", "pitch", "roll"))
         )
+    position = _coordinates(entry["position"], f"{where}.position")
     try:
-        return Pose(np.asarray(entry["position"], dtype=float), a)
+        return Pose(position, a)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
@@ -139,13 +150,13 @@ def load_scenario(path) -> Scenario:
     _require(isinstance(walls_doc, list) and walls_doc, "walls", "need a nonempty list")
     walls = tuple(_load_wall(w, f"walls[{i}]") for i, w in enumerate(walls_doc))
 
-    mic_local = None
-    if doc.get("mic_local") is not None:
-        mic_local = np.asarray(doc["mic_local"], dtype=float)
-    path_poses = tuple(
-        _load_pose(p, f"path[{i}]") for i, p in enumerate(doc.get("path") or [])
+    mic_local, speaker = (
+        None if doc.get(key) is None else _coordinates(doc[key], key)
+        for key in ("mic_local", "speaker")
     )
-    speaker = None if doc.get("speaker") is None else np.asarray(doc["speaker"], dtype=float)
+    path_doc = [] if doc.get("path") is None else doc["path"]
+    _require(isinstance(path_doc, list), "path", f"need a list of poses, got {path_doc!r}")
+    path_poses = tuple(_load_pose(p, f"path[{i}]") for i, p in enumerate(path_doc))
 
     try:
         return Scenario(

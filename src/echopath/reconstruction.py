@@ -184,15 +184,14 @@ _EPS = np.finfo(float).eps
 def _echo_vertex(mics: MicArray, sets, root_tol: float, noise_sigma: float):
     """The echo form over the (x1, x2, x3) triples of sets, in vertex form.
 
-    sets[3] must be sorted. Returns e = u^T S u, u = (1, x1, x2, x3), as an
-    (n3, n1 n2) array (a row per x3, a column per (x1, x2) pair); zp, the
-    pairs' part of z, so that z = zp + vertex_z[3] x3 at each triple; the
-    window threshold tau (a float, or one per triple under noise) and the
-    round-off pad (see _root_window_grid).
+    Returns e = u^T S u, u = (1, x1, x2, x3), as an (n3, n1 n2) array (a
+    row per x3, a column per (x1, x2) pair); zp, the pairs' part of z, so
+    that z = zp + vertex_z[3] x3 at each triple; the window threshold tau,
+    one float for all of sets, and the round-off pad (see _root_window_grid).
     """
     (s00, s01, s02, s03), (_, s11, s12, s13), (*_, s22, s23), (*_, s33) = mics.vertex_s.tolist()
     z0, z1, z2, _ = mics.vertex_z.tolist()
-    s1, s2, x3, s4 = sets
+    s1, s2, x3, _ = sets
     c3 = x3[:, None]
     # The terms of x1, of x2 and of the pair, then the polynomial in x3.
     pairs = (s00 + s1 * (2.0 * s01 + s11 * s1))[:, None] + s2 * (2.0 * s02 + s22 * s2)
@@ -201,27 +200,18 @@ def _echo_vertex(mics: MicArray, sets, root_tol: float, noise_sigma: float):
     e *= c3
     e += pairs.ravel()
     zp = ((z0 + z1 * s1)[:, None] + z2 * s2).ravel()
-    top = [np.maximum.reduce(s) for s in sets]
-    tau = (root_tol / mics.abs_det_c) * max(top) ** 3
-    std_max, tau_max = 0.0, tau
+    top = [float(np.maximum.reduce(s)) for s in sets]
+    tau, std_max = (root_tol / mics.abs_det_c) * max(top) ** 3, 0.0
     if noise_sigma > 0.0:
-        g, n1, n2 = mics.c_inv[1:, :, None, None], s1.size, s2.size
-        # Rows 1-4 of G y at x4 = max S4, and their values at min S4.
-        high = (g[:, 0] + g[:, 4] * top[3]) + g[:, 1] * s1[:, None] + g[:, 2] * s2
-        high = high.reshape(4, 1, -1) + g[:, 3] * c3
-        w = np.maximum(np.abs(high), np.abs(high - g[:, 4] * (top[3] - s4[0])))
-        # Row k of w takes the entry std, 2 sqrt(x) sigma + sigma^2, of set k.
-        std = 2.0 * np.sqrt(np.concatenate([s1, s2, x3, top[3:]])) * noise_sigma + noise_sigma**2
-        w = w.reshape(4, x3.size, n1, n2)
-        w[0] *= std[:n1, None]
-        w[1] *= std[n1 : n1 + n2]
-        w[2] *= std[n1 + n2 : -1, None, None]
-        w[3] *= std[-1]
-        tau = tau + 2.0 * _NOISE_MARGIN * np.sqrt(np.add.reduce(w * w, 0)).reshape(x3.size, -1)
-        std_max, tau_max = 2.0 * np.sqrt(max(top)) * noise_sigma + noise_sigma**2, tau.max()
+        g = mics.c_inv[1:]
+        ends = g[:, None, 1:] * np.array([[np.minimum.reduce(s) for s in sets], top])
+        reach = np.maximum(g[:, 0] + ends.max(1).sum(1), -(g[:, 0] + ends.min(1).sum(1)))
+        std = 2.0 * np.sqrt(top) * noise_sigma + noise_sigma**2
+        tau += 2.0 * _NOISE_MARGIN * float(np.sqrt(np.add.reduce((reach * std) ** 2)))
+        std_max = float(std.max())
     y_sum = 1.0 + sum(top)
     pad = mics.form_bound * y_sum * (y_sum + 2.0 * _NOISE_MARGIN * std_max)
-    return e, zp, tau, 64.0 * _EPS * (pad + tau_max)
+    return e, zp, tau, 64.0 * _EPS * (pad + tau)
 
 
 def _root_window_grid(mics: MicArray, sets, root_tol, noise_sigma) -> np.ndarray:
@@ -230,12 +220,12 @@ def _root_window_grid(mics: MicArray, sets, root_tol, noise_sigma) -> np.ndarray
     With y = (1, x) = (u, x4), u = (1, x1, x2, x3), and G = C^{-1}, the test
     bounds |y^T G y| by its threshold over |det C|. In MicArray's vertex form
     y^T G y = e - a (x4 - z)^2, a > 0, with the peak e and z fixed by the
-    triple (x1, x2, x3) (_echo_vertex). tau is at least every threshold the
-    test applies: root_tol max(x)^3 / |det C| with max(x) over all four sets,
-    and under noise the noise term per triple (the entry std of x4 peaks at
-    max S4, and rows 1-4 of G y are affine in x4, so their entries peak at an
-    end of [min S4, max S4]). Only triples with e >= -tau - pad can have rows
-    in the window, as a (x4 - z)^2 rounds to no less than 0; their rows are
+    triple (x1, x2, x3) (_echo_vertex). tau, one float, is at least every
+    threshold the test applies: root_tol max(x)^3 / |det C| with max(x) over
+    all four sets, and under noise the noise term at the corners of the box
+    the sets span (rows 1-4 of G y are affine in x, and the entry std of set
+    k peaks at max Sk). Only triples with e >= -tau - pad can have rows in
+    the window, as a (x4 - z)^2 rounds to no less than 0; their rows are
     kept when |e - a (x4 - z)^2| <= tau + pad, for every x4 of the set.
 
     The pad bounds the round-off of both evaluations to first order, with
@@ -252,21 +242,18 @@ def _root_window_grid(mics: MicArray, sets, root_tol, noise_sigma) -> np.ndarray
       7.5 eps a (max S4 + r)^2 + 0.5 eps |e| <= 16 eps m Y^2, as a <= m and
       a r^2 <= m sum(u)^2;
     - the test's threshold and tau each round within 7.5 eps of their value;
-    - under noise the test's gradient and the window's w each round within
-      4 eps m Y per entry, and every entry std is at most std_max =
-      2 sqrt(max(x)) sigma + sigma^2, so the noise terms differ by at most
-      256 eps m Y std_max.
-    The pad, 64 eps (m Y (Y + 2 _NOISE_MARGIN std_max) + max tau), is at
-    least twice the sum, 31 eps m Y^2 + 15 eps max tau + 256 eps m Y std_max.
+    - under noise the test's gradient and tau's corner sums, each five
+      products with a row of G, round within 4 eps m Y per entry, and every
+      entry std is at most the largest of the four, std_max, so the noise
+      terms differ by at most 256 eps m Y std_max.
+    The pad, 64 eps (m Y (Y + 2 _NOISE_MARGIN std_max) + tau), is at least
+    twice the sum, 31 eps m Y^2 + 15 eps tau + 256 eps m Y std_max.
     """
     s1, s2, x3, s4 = sets
-    s4 = np.sort(s4)
-    e, zp, tau, pad = _echo_vertex(mics, (s1, s2, x3, s4), root_tol, noise_sigma)
+    e, zp, tau, pad = _echo_vertex(mics, sets, root_tol, noise_sigma)
     tau = tau + pad
     t = (e >= -tau).ravel().nonzero()[0]  # the form peaks at e
     k3, pair = np.divmod(t, zp.size)
-    if noise_sigma > 0.0:
-        tau = tau.ravel()[t]
     # e - a (x4 - z)^2 on the triples left, a column each.
     v = s4[:, None] - (zp[pair] + mics.vertex_z[3] * x3[k3])
     v *= v
@@ -293,7 +280,7 @@ def echo_match(
     root_tol must be nonnegative and finite; at 0 a column is kept only when
     its polynomial rounds to 0.
 
-    With noise_sigma > 0 the root test is additionally widened per tuple by
+    With noise_sigma > 0 the root test is additionally widened per column by
     eight times the polynomial's predicted noise std, so true columns
     survive measurement noise. Combinations that merely come close to
     consistency under noise are kept as well; such ghost columns are expected
@@ -301,11 +288,11 @@ def echo_match(
 
     The polynomial is quadratic in d4, -|det C| (e - a (d4 - z)^2) in the
     MicArray's vertex form, with e and z fixed by (d1, d2, d3). Triples whose
-    peak e falls below the threshold have no candidates; for the others every
-    d4 is checked against the threshold in vertex form, padded for round-off,
-    and only the rows that pass are tested. They hold every column the test
-    accepts, at any noise level (see _root_window_grid), so the result equals
-    that of testing the full grid.
+    peak e falls below one bound on every row's threshold have no candidates;
+    for the others every d4 is checked against that bound in vertex form,
+    padded for round-off, and only the rows that pass are tested. They hold
+    every column the test accepts, at any noise level (see _root_window_grid),
+    so the result equals that of testing the full grid.
 
     mics is a MicArray or the microphones' local coordinates.
     """

@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +112,40 @@ def test_load_rejects_numbers_given_as_bools_or_strings(scenario_dir, tmp_path, 
     path.write_text((scenario_dir / "box_room.yaml").read_text().replace(old, new, 1))
     with pytest.raises(ScenarioError, match=f"{key}: must be of type int or float, got"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("speaker: [1.1, 2.3, 1.7]", "speaker: {a: 1}", "speaker"),
+        ("speaker: [1.1, 2.3, 1.7]", "speaker: [1.1, abc, 1.7]", "speaker"),
+        ("normal: [1, 0, 0]", 'normal: "abc"', r"walls\[0\].normal"),
+        ("offset: 0.0}", "offset: 0.0, boundary: {a: 1}}", r"walls\[0\].boundary"),
+        ("position: [2.0, 1.5, 1.0]", "position: {x: 1}", r"path\[0\].position"),
+        ("yaw: -0.8,", "orientation: [[1, 0, 0], [0, 1]],", r"path\[3\].orientation"),
+        ("mic_local:\n  - [0.24748737341529164, ", "mic_local:\n  - [", "mic_local"),
+    ],
+    ids=[
+        "speaker-mapping", "speaker-word", "normal-string", "boundary-mapping",
+        "position-mapping", "orientation-ragged", "mic_local-ragged",
+    ],
+)
+def test_load_rejects_malformed_coordinates_naming_the_field(scenario_dir, tmp_path, old, new, key):
+    # A mapping raised TypeError, and a word or a ragged list a ValueError that
+    # named no field.
+    path = tmp_path / "malformed.yaml"
+    path.write_text((scenario_dir / "box_room.yaml").read_text().replace(old, new, 1))
+    with pytest.raises(ScenarioError, match=f"^{key}: "):
+        load_scenario(path)
+
+
+def test_cli_run_reports_a_malformed_path_as_an_error(scenario_dir, tmp_path, capsys):
+    # path: 5 raised TypeError from enumerate, which escaped main as a traceback.
+    text = (scenario_dir / "box_room.yaml").read_text()
+    path = tmp_path / "malformed.yaml"
+    path.write_text(re.sub(r"path:\n(  - .*\n)+", "path: 5\n", text))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: path: ")
 
 
 def test_load_accepts_integer_numbers(scenario_dir, tmp_path):
@@ -385,3 +424,13 @@ def test_cli_load_error_exit_code(tmp_path, capsys):
     code = main(["run", str(tmp_path / "missing.yaml")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_python_m_echopath_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-W", "error", "-m", "echopath", "counterexample", "--k", "3"]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("3 lines through the origin:")

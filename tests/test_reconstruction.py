@@ -414,6 +414,27 @@ def test_echo_window_pad_bounds_its_rounding_gap():
     assert worst > 0.0
 
 
+def test_echo_window_threshold_bounds_the_noise_term_on_every_row():
+    # Under noise the window takes one threshold, tau, for all rows: the
+    # noise term at the corners of the box of the four sets. On the full
+    # grid the test's own noise term, in the units of tau, must stay within
+    # tau + pad, on round and flat arrays.
+    rng = np.random.default_rng(72)
+    for i in range(200):
+        mics = random_mics(rng)
+        if i % 2:
+            mics[:, 2] *= 1e-2
+        mic_array = MicArray(mics)
+        sigma = 10 ** rng.uniform(-4.0, -2.0)
+        e = noisy_echo_sets(rng, mics, rng.integers(1, 7), rng.integers(0, 5), sigma)
+        sets = [np.asarray(s) for s in e.d_sets]
+        _, _, tau, pad = reconstruction._echo_vertex(mic_array, sets, 0.0, sigma)
+        assert type(tau) is float
+        grid = np.stack(np.meshgrid(*sets, indexing="ij"), axis=-1).reshape(-1, 4)
+        noise = reconstruction._polynomial_noise_std(mic_array, grid, sigma)
+        assert np.all(reconstruction._NOISE_MARGIN * noise / mic_array.abs_det_c <= tau + pad)
+
+
 def test_detected_distance_matrix_single_source():
     scn = box_scenario()
     assignment = echo_match(scn.mic_local, generate_echoes(scn, scn.path[0]), 1e-9)
