@@ -174,13 +174,15 @@ def cm_polynomial(c: np.ndarray, x) -> float:
 
 
 def _echo_form(mics: MicArray, xs) -> tuple[np.ndarray, np.ndarray]:
-    """y = (1, x) per row of xs and G y, with G = mics.c_inv, summed one column
-    of G at a time (a cumulative sum), so a row rounds alike in any batch (a
-    matrix product does not)."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    y = np.empty((5, len(xs)))
-    y[0], y[1:] = 1.0, xs.T
-    return y, np.cumsum(mics.c_inv[:, :, None] * y, axis=1)[:, -1]
+    """x = xs.T, a row per coordinate, and G y for y = (1, x), G = mics.c_inv,
+    summed elementwise, in order, one column of G at a time: G_0 + G_1 x1 +
+    ... + G_4 x4. A row rounds alike in any batch (a matrix product does not)."""
+    x = np.atleast_2d(np.asarray(xs, dtype=float)).T
+    terms = mics.c_inv[:, 1:, None] * x  # G_kj x_j, shape (5, 4, n)
+    gy = terms[:, 0] + mics.c_inv[:, :1]
+    for j in range(1, 4):
+        gy += terms[:, j]
+    return x, gy
 
 
 def cm_polynomial_batch(mics: MicArray, xs: np.ndarray) -> np.ndarray:
@@ -189,9 +191,14 @@ def cm_polynomial_batch(mics: MicArray, xs: np.ndarray) -> np.ndarray:
     mics is the scenario's MicArray, with G = C^{-1} and |det C| = det C = 288 V^2
     (V the microphones' volume). With y = (1, x) the bordered determinant is
     -det(C) y^T G y (Schur complement of C); a row's value ignores other rows.
+    y^T G y is summed elementwise, in order, like G y (_echo_form).
     """
-    y, gy = _echo_form(mics, xs)
-    return -mics.abs_det_c * np.cumsum(y * gy, axis=0)[-1]
+    x, gy = _echo_form(mics, xs)
+    terms = gy[1:] * x
+    form = terms[0] + gy[0]
+    for j in range(1, 4):
+        form += terms[j]
+    return -mics.abs_det_c * form
 
 
 def _cm_polynomial_gradient(mics: MicArray, xs: np.ndarray) -> np.ndarray:

@@ -90,12 +90,20 @@ def _number(doc: dict, key: str, default, where: str | None = None) -> float:
     return float(_typed(doc, key, default, (int, float), where))
 
 
+def _numbers(value) -> bool:
+    """True for a YAML int or float (bool is not a number) or a list of them, nested."""
+    return type(value) in (int, float) or (type(value) is list and all(map(_numbers, value)))
+
+
 def _coordinates(value, where: str) -> np.ndarray:
-    """value as a float array; a value NumPy cannot convert is a ScenarioError naming where."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:  # a mapping, a word or a ragged list
-        raise ScenarioError(f"{where}: must be an array of numbers, got {value!r}") from exc
+    """value as a float array, from YAML ints and floats only; anything else (a
+    mapping, a string, a bool or a ragged list) is a ScenarioError naming where."""
+    if _numbers(value):
+        try:
+            return np.asarray(value, dtype=float)
+        except ValueError:  # a ragged list
+            pass
+    raise ScenarioError(f"{where}: must be an array of numbers, got {value!r}")
 
 
 def _load_wall(entry, where: str) -> Wall:

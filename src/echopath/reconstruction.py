@@ -25,6 +25,7 @@ leaves the registry untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,31 +185,43 @@ _EPS = np.finfo(float).eps
 def _echo_vertex(mics: MicArray, sets, root_tol: float, noise_sigma: float):
     """The echo form over the (x1, x2, x3) triples of sets, in vertex form.
 
-    Returns e = u^T S u, u = (1, x1, x2, x3), as an (n3, n1 n2) array (a
-    row per x3, a column per (x1, x2) pair); zp, the pairs' part of z, so
-    that z = zp + vertex_z[3] x3 at each triple; the window threshold tau,
-    one float for all of sets, and the round-off pad (see _root_window_grid).
+    Returns e = u^T S u, u = (1, x1, x2, x3), as an (n1 n2, n3) array (a
+    row per (x1, x2) pair, a column per x3: the triples in lexicographic
+    order); zp, the pairs' part of z, so that z = zp + vertex_z[3] x3 at
+    each triple; the window threshold tau, one float for all of sets, and
+    the round-off pad (see _root_window_grid). sets must be sorted: tau and
+    the pad read only their end entries, as Python floats.
     """
     (s00, s01, s02, s03), (_, s11, s12, s13), (*_, s22, s23), (*_, s33) = mics.vertex_s.tolist()
     z0, z1, z2, _ = mics.vertex_z.tolist()
     s1, s2, x3, _ = sets
-    c3 = x3[:, None]
     # The terms of x1, of x2 and of the pair, then the polynomial in x3.
     pairs = (s00 + s1 * (2.0 * s01 + s11 * s1))[:, None] + s2 * (2.0 * s02 + s22 * s2)
     pairs += (2.0 * s12 * s1)[:, None] * s2
-    e = ((2.0 * s03 + 2.0 * s13 * s1)[:, None] + 2.0 * s23 * s2).ravel() + s33 * c3
-    e *= c3
-    e += pairs.ravel()
+    e = ((2.0 * s03 + 2.0 * s13 * s1)[:, None] + 2.0 * s23 * s2).reshape(-1, 1) + s33 * x3
+    e *= x3
+    e += pairs.reshape(-1, 1)
     zp = ((z0 + z1 * s1)[:, None] + z2 * s2).ravel()
-    top = [float(np.maximum.reduce(s)) for s in sets]
+    low, top = [s.item(0) for s in sets], [s.item(-1) for s in sets]
     tau, std_max = (root_tol / mics.abs_det_c) * max(top) ** 3, 0.0
     if noise_sigma > 0.0:
-        g = mics.c_inv[1:]
-        ends = g[:, None, 1:] * np.array([[np.minimum.reduce(s) for s in sets], top])
-        reach = np.maximum(g[:, 0] + ends.max(1).sum(1), -(g[:, 0] + ends.min(1).sum(1)))
-        std = 2.0 * np.sqrt(top) * noise_sigma + noise_sigma**2
-        tau += 2.0 * _NOISE_MARGIN * float(np.sqrt(np.add.reduce((reach * std) ** 2)))
-        std_max = float(std.max())
+        std = [2.0 * math.sqrt(x) * noise_sigma + noise_sigma**2 for x in top]
+        square = 0.0
+        for (g0, *row), std_k in zip(mics.c_inv[1:].tolist(), std):
+            # Row k of G y is largest over the box (up) with x_j at top where
+            # G_kj >= 0 and at low elsewhere, and least (down) the other way.
+            up = down = 0.0
+            for g, lo, hi in zip(row, low, top):
+                if g >= 0.0:
+                    up += g * hi
+                    down += g * lo
+                else:
+                    up += g * lo
+                    down += g * hi
+            reach = max(g0 + up, -(g0 + down)) * std_k
+            square += reach * reach
+        tau += 2.0 * _NOISE_MARGIN * math.sqrt(square)
+        std_max = max(std)
     y_sum = 1.0 + sum(top)
     pad = mics.form_bound * y_sum * (y_sum + 2.0 * _NOISE_MARGIN * std_max)
     return e, zp, tau, 64.0 * _EPS * (pad + tau)
@@ -217,10 +230,11 @@ def _echo_vertex(mics: MicArray, sets, root_tol: float, noise_sigma: float):
 def _root_window_grid(mics: MicArray, sets, root_tol, noise_sigma) -> np.ndarray:
     """Rows of the product grid of sets that can pass echo_match's test.
 
-    With y = (1, x) = (u, x4), u = (1, x1, x2, x3), and G = C^{-1}, the test
-    bounds |y^T G y| by its threshold over |det C|. In MicArray's vertex form
-    y^T G y = e - a (x4 - z)^2, a > 0, with the peak e and z fixed by the
-    triple (x1, x2, x3) (_echo_vertex). tau, one float, is at least every
+    sets are sorted and distinct, so the rows, in lexicographic order, are
+    too. With y = (1, x) = (u, x4), u = (1, x1, x2, x3), and G = C^{-1}, the
+    test bounds |y^T G y| by its threshold over |det C|. In MicArray's vertex
+    form y^T G y = e - a (x4 - z)^2, a > 0, with the peak e and z fixed by
+    the triple (x1, x2, x3) (_echo_vertex). tau, one float, is at least every
     threshold the test applies: root_tol max(x)^3 / |det C| with max(x) over
     all four sets, and under noise the noise term at the corners of the box
     the sets span (rows 1-4 of G y are affine in x, and the entry std of set
@@ -253,17 +267,17 @@ def _root_window_grid(mics: MicArray, sets, root_tol, noise_sigma) -> np.ndarray
     e, zp, tau, pad = _echo_vertex(mics, sets, root_tol, noise_sigma)
     tau = tau + pad
     t = (e >= -tau).ravel().nonzero()[0]  # the form peaks at e
-    k3, pair = np.divmod(t, zp.size)
-    # e - a (x4 - z)^2 on the triples left, a column each.
-    v = s4[:, None] - (zp[pair] + mics.vertex_z[3] * x3[k3])
+    pair, k3 = np.divmod(t, x3.size)
+    # e - a (x4 - z)^2 on the triples left, a row each.
+    v = s4 - (zp[pair] + mics.vertex_z[3] * x3[k3])[:, None]
     v *= v
     v *= mics.vertex_a
-    np.subtract(e.ravel()[t], v, out=v)
-    k4, col = np.divmod((np.abs(v, out=v) <= tau).ravel().nonzero()[0], t.size)
-    k1, k2 = np.divmod(pair[col], s2.size)
-    grid = np.empty((col.size, 4))
-    grid[:, 0], grid[:, 1], grid[:, 2], grid[:, 3] = s1[k1], s2[k2], x3[k3[col]], s4[k4]
-    return grid
+    np.subtract(e.ravel()[t, None], v, out=v)
+    row, k4 = np.divmod((np.abs(v, out=v) <= tau).ravel().nonzero()[0], s4.size)
+    k1, k2 = np.divmod(pair[row], s2.size)
+    grid = np.empty((4, row.size))  # a column per row: echo_match's grid.T[:, kept] is contiguous
+    grid[0], grid[1], grid[2], grid[3] = s1[k1], s2[k2], x3[k3[row]], s4[k4]
+    return grid.T
 
 
 def echo_match(
@@ -276,9 +290,11 @@ def echo_match(
 
     A column (d1, d2, d3, d4) from the product of the four echo sets is kept
     when the Cayley-Menger polynomial of the microphones vanishes on it,
-    relative to root_tol times (max d_i)^3. Duplicate columns are merged.
-    root_tol must be nonnegative and finite; at 0 a column is kept only when
-    its polynomial rounds to 0.
+    relative to root_tol times (max d_i)^3. The sets must be sorted with
+    distinct entries, as an EchoSet's are; any other e is read as
+    EchoSet(e.d_sets) first, which merges repeated entries. The columns come
+    out distinct and in lexicographic order. root_tol must be nonnegative and
+    finite; at 0 a column is kept only when its polynomial rounds to 0.
 
     With noise_sigma > 0 the root test is additionally widened per column by
     eight times the polynomial's predicted noise std, so true columns
@@ -301,6 +317,8 @@ def echo_match(
         raise ValueError("root_tol must be nonnegative and finite")
     if not 0.0 <= noise_sigma < np.inf:
         raise ValueError("noise_sigma must be nonnegative and finite")
+    if not isinstance(e, EchoSet):
+        e = EchoSet(e.d_sets)
     sets = [np.asarray(s, dtype=float) for s in e.d_sets]
     if any(s.size == 0 for s in sets):
         return EchoAssignment(np.zeros((4, 0)))
@@ -309,11 +327,7 @@ def echo_match(
     threshold = root_tol * grid.max(axis=1) ** 3
     if noise_sigma > 0.0:
         threshold = threshold + _NOISE_MARGIN * _polynomial_noise_std(mics, grid, noise_sigma)
-    cols = grid[np.abs(vals) <= threshold]
-    cols = cols[np.lexsort(cols.T[::-1])]  # rows in lexicographic order
-    distinct = np.ones(len(cols), dtype=bool)
-    distinct[1:] = (cols[1:] != cols[:-1]).any(axis=1)
-    return EchoAssignment(np.ascontiguousarray(cols[distinct].T))
+    return EchoAssignment(grid.T[:, np.abs(vals) <= threshold])
 
 
 def detected_distance_matrix(mics, a: EchoAssignment) -> np.ndarray:

@@ -226,8 +226,8 @@ def test_cm_polynomial_batch_rows_do_not_depend_on_the_batch():
 
 
 def test_cm_polynomial_batch_adds_its_terms_in_order():
-    # The reference adds one term at a time in Python; the cumulative sums
-    # must round exactly as it does.
+    # The reference adds one term at a time in Python; the sums, elementwise,
+    # in order, must round exactly as it does.
     rng = np.random.default_rng(52)
     for k in (1, 2, 64, 1000):
         mics = random_mic_array(rng)

@@ -119,6 +119,8 @@ def test_load_rejects_numbers_given_as_bools_or_strings(scenario_dir, tmp_path, 
     [
         ("speaker: [1.1, 2.3, 1.7]", "speaker: {a: 1}", "speaker"),
         ("speaker: [1.1, 2.3, 1.7]", "speaker: [1.1, abc, 1.7]", "speaker"),
+        ("speaker: [1.1, 2.3, 1.7]", 'speaker: ["1.1", "2.3", "1.7"]', "speaker"),
+        ("normal: [1, 0, 0]", "normal: [true, 0, 0]", r"walls\[0\].normal"),
         ("normal: [1, 0, 0]", 'normal: "abc"', r"walls\[0\].normal"),
         ("offset: 0.0}", "offset: 0.0, boundary: {a: 1}}", r"walls\[0\].boundary"),
         ("position: [2.0, 1.5, 1.0]", "position: {x: 1}", r"path\[0\].position"),
@@ -126,13 +128,14 @@ def test_load_rejects_numbers_given_as_bools_or_strings(scenario_dir, tmp_path, 
         ("mic_local:\n  - [0.24748737341529164, ", "mic_local:\n  - [", "mic_local"),
     ],
     ids=[
-        "speaker-mapping", "speaker-word", "normal-string", "boundary-mapping",
+        "speaker-mapping", "speaker-word", "speaker-strings", "normal-bool",
+        "normal-string", "boundary-mapping",
         "position-mapping", "orientation-ragged", "mic_local-ragged",
     ],
 )
 def test_load_rejects_malformed_coordinates_naming_the_field(scenario_dir, tmp_path, old, new, key):
     # A mapping raised TypeError, and a word or a ragged list a ValueError that
-    # named no field.
+    # named no field; numbers given as strings and true (as 1) loaded.
     path = tmp_path / "malformed.yaml"
     path.write_text((scenario_dir / "box_room.yaml").read_text().replace(old, new, 1))
     with pytest.raises(ScenarioError, match=f"^{key}: "):

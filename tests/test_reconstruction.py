@@ -328,7 +328,8 @@ def test_echo_match_on_degenerate_sets_equals_oracle(sigma, root_tol, polynomial
 @pytest.mark.parametrize("sigma", [0.0, 1e-3])
 def test_echo_match_merges_repeated_rows_as_the_oracle_does(sigma, monkeypatch):
     # EchoSet merges equal entries, so a plain object carries the repeats: one
-    # set lists each value twice, and every grid row through it comes twice.
+    # set lists each value twice, in shuffled order. echo_match reads it as an
+    # EchoSet, so the rows it tests are distinct and in lexicographic order.
     grids = []
     real = reconstruction.cm_polynomial_batch
 
@@ -346,9 +347,14 @@ def test_echo_match_merges_repeated_rows_as_the_oracle_does(sigma, monkeypatch):
         del grids[:]
         got = echo_match(mics, e, 1e-9, sigma).delta
         want = full_grid_echo_match(mics, e, 1e-9, sigma)
-        assert len(np.unique(grids[0], axis=0)) < len(grids[0])
+        assert len(grids) == 1 and np.array_equal(np.unique(grids[0], axis=0), grids[0])
         assert got.shape == want.shape and got.shape[1] >= 4
         assert np.array_equal(got, want)
+    mics = random_mics(rng)
+    sets = list(noisy_echo_sets(rng, mics, 4, 3, sigma).d_sets)
+    sets[2] = (*sets[2], 0.0)
+    with pytest.raises(ValueError, match="positive"):
+        echo_match(mics, SimpleNamespace(d_sets=tuple(sets)), 1e-9, sigma)
 
 
 def test_echo_match_tests_under_a_tenth_of_the_grid_under_noise(polynomial_rows):
@@ -402,11 +408,11 @@ def test_echo_window_pad_bounds_its_rounding_gap():
         near = [roots * (1.0 + k * 1e-12) for k in (-1.0, 1.0)]
         near += [np.nextafter(roots, k * np.inf) for k in (-1.0, 1.0)]
         s4 = np.sort(np.concatenate([roots, *near]))
-        s1, s2, x3 = (profiles[:, k] for k in range(3))
+        s1, s2, x3 = (np.sort(profiles[:, k]) for k in range(3))
         e, zp, _, pad = reconstruction._echo_vertex(mic_array, (s1, s2, x3, s4), 0.0, 0.0)
-        z = zp + mic_array.vertex_z[3] * x3[:, None]
+        z = zp[:, None] + mic_array.vertex_z[3] * x3
         window = e[..., None] - mic_array.vertex_a * (s4 - z[..., None]) ** 2
-        grid = np.stack(np.meshgrid(x3, s1, s2, s4, indexing="ij"), axis=-1)[..., [1, 2, 0, 3]]
+        grid = np.stack(np.meshgrid(s1, s2, x3, s4, indexing="ij"), axis=-1)
         form = cm_polynomial_batch(mic_array, grid.reshape(-1, 4)) / -mic_array.abs_det_c
         gap = np.abs(form - window.ravel()).max()
         assert gap <= pad
