@@ -2,7 +2,8 @@
 
 The package combines an image-source echo simulator, the Cayley-Menger
 distance algebra used to sort echoes and locate the vehicle, genericity
-tests for symmetry-breaking speaker placement, and a scenario-driven CLI.
+tests for symmetry-breaking speaker placement, and scenario-driven batch runs
+(pipeline); the command line (cli) is not imported by the package.
 """
 
 from .cayley_menger import (
@@ -13,7 +14,6 @@ from .cayley_menger import (
     mutual_distances,
     recover_point,
 )
-from .cli import Metrics, RunRecord, ScenarioError, export, load_scenario, run
 from .geometry import (
     DegenerateGeometryError,
     Hyperplane,
@@ -24,6 +24,7 @@ from .geometry import (
     pairwise_squared_distances,
     reflect_point,
 )
+from .pipeline import Metrics, RunRecord, ScenarioError, export, load_scenario, run
 from .reconstruction import (
     EchoAssignment,
     LocateResult,

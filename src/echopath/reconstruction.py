@@ -51,32 +51,34 @@ class PoseInconsistencyError(RuntimeError):
     """Recovered orientation is no rotation (bad match, mirror image or noise overload)."""
 
 
-@dataclass(eq=False)
 class SourceRegistry:
     """Known sound-source positions, all in the frozen coordinate frame.
 
-    Besides the tuple of sources the registry keeps them as the rows of an
-    (n, 3) array and keeps their squared-distance matrix. Sources are only
-    ever appended, with the rows of the new points against all points, and
-    the rest of the matrix stays as it is. extend() and update_sources()
-    both write through one private append; as_array() and distance_matrix()
-    return read-only views.
+    The registry keeps its n sources once, as the rows of an (n, 3) array,
+    and keeps their squared-distance matrix. Sources are only ever appended,
+    with the rows of the new points against all points, and the rest of the
+    matrix stays as it is. extend() and update_sources() both write through
+    one private append; as_array() and distance_matrix() return read-only
+    views.
     """
 
-    sources: tuple = ()
-
-    def __post_init__(self):
-        initial, self.sources = self.sources, ()
+    def __init__(self, sources=()):
+        self._n = 0
         self._points, self._d = np.zeros((0, 3)), np.zeros((0, 0))
-        self.extend(initial)
+        self.extend(sources)
+
+    @property
+    def sources(self) -> tuple:
+        """The sources as a tuple of read-only 3-vectors (rows of as_array())."""
+        return tuple(self.as_array())
 
     @property
     def frame_frozen(self) -> bool:
         """True once bootstrap has stored the sources that fix the frame."""
-        return bool(self.sources)
+        return self._n > 0
 
     def __len__(self) -> int:
-        return len(self.sources)
+        return self._n
 
     def extend(self, points) -> None:
         """Register points (3-vectors) and their rows of the distance matrix.
@@ -91,7 +93,7 @@ class SourceRegistry:
     def _append(self, new: np.ndarray, rows: np.ndarray) -> None:
         """Own the points new (m, 3) and their rows (m, n + m) of the
         matrix. The buffers grow by doubling: O(m n) amortized."""
-        n, m = len(self.sources), len(new)
+        n, m = self._n, len(new)
         if m == 0:
             return
         if n + m > len(self._points):
@@ -103,17 +105,16 @@ class SourceRegistry:
         np.fill_diagonal(rows[:, n:], 0.0)
         self._d[n : n + m, : n + m] = rows
         self._d[:n, n : n + m] = rows[:, :n].T
-        new.flags.writeable = False
-        self.sources += tuple(new)
+        new.flags.writeable = False  # update_sources returns these rows
+        self._n = n + m
 
     def as_array(self) -> np.ndarray:
         """The sources as the rows of a read-only (n, 3) array."""
-        return _read_only(self._points[: len(self.sources)])
+        return _read_only(self._points[: self._n])
 
     def distance_matrix(self) -> np.ndarray:
         """Read-only (n, n) matrix of squared distances between the sources."""
-        n = len(self.sources)
-        return _read_only(self._d[:n, :n])
+        return _read_only(self._d[: self._n, : self._n])
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:

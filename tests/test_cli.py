@@ -10,7 +10,8 @@ import pytest
 from conftest import box_scenario, tetra_mics
 
 from echopath import ScenarioError, export, load_scenario, run
-from echopath.cli import _rotation_angle, main, to_frozen_frame
+from echopath.cli import main
+from echopath.pipeline import _rotation_angle, to_frozen_frame
 from echopath.simulator import Pose, Scenario, rotation_from_yaw_pitch_roll
 from echopath.geometry import Hyperplane, Wall
 
@@ -429,11 +430,29 @@ def test_cli_load_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_python_m_echopath_runs_the_cli():
+def _python(*args):
+    """Run the interpreter with -W error and the package's source on its path."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-W", "error", "-m", "echopath", "counterexample", "--k", "3"]
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    cmd = [sys.executable, "-W", "error", *args]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_echopath_runs_the_cli():
+    done = _python("-m", "echopath", "counterexample", "--k", "3")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("3 lines through the origin:")
+
+
+def test_python_m_echopath_cli_runs_without_warnings():
+    done = _python("-m", "echopath.cli", "counterexample", "--k", "3")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("3 lines through the origin:")
+
+
+def test_importing_the_package_does_not_load_the_command_line():
+    code = "import sys, echopath; print(sorted({'echopath.cli', 'argparse'} & set(sys.modules)))"
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -49,7 +49,7 @@ from echopath.cayley_menger import (
     cm_polynomial_batch,
 )
 from echopath.geometry import _numerical_rank
-from echopath.cli import to_frozen_frame
+from echopath.pipeline import to_frozen_frame
 
 MICS = tetra_mics()
 
