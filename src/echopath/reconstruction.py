@@ -9,8 +9,9 @@ One locate step consumes the echo sets of a single emission and runs:
    microphones' Cayley-Menger matrix;
 3. a rank test on the placed points: fewer than four detected sources, or
    coplanar ones, cannot anchor a pose, so the step fails;
-4. bootstrap or matching: the first usable emission freezes the vehicle
-   frame and stores the detected sources in it; later emissions match four
+4. bootstrap or matching: the first emission whose detected sources,
+   deduplicated, are still four or more and not coplanar freezes the vehicle
+   frame and stores those sources in it; later emissions match four
    detected sources against the registry by submatrix search on the squared
    distances between the placed points;
 5. self-location: fit the orientation and position that map the four
@@ -81,13 +82,13 @@ class SourceRegistry:
         return self._n
 
     def extend(self, points) -> None:
-        """Register points (3-vectors) and their rows of the distance matrix.
+        """Register points (see _as_points) and their rows of the distance matrix.
 
         The points are copied, and their rows use the formula of
         pairwise_squared_distances, so the matrix equals that of all points
         bit for bit.
         """
-        new = np.array(points, dtype=float).reshape(-1, 3)
+        new = _as_points(points)
         self._append(new, squared_distances(new, np.concatenate([self.as_array(), new])))
 
     def _append(self, new: np.ndarray, rows: np.ndarray) -> None:
@@ -115,6 +116,24 @@ class SourceRegistry:
     def distance_matrix(self) -> np.ndarray:
         """Read-only (n, n) matrix of squared distances between the sources."""
         return _read_only(self._d[: self._n, : self._n])
+
+
+def _as_points(points) -> np.ndarray:
+    """A copy of points as the rows of an (m, 3) array of floats.
+
+    points is a 3-vector (one row), the rows of an (m, 3) array or a sequence
+    of 3-vectors, or empty (no rows). Any other shape, a coordinate that is
+    not a finite number included, raises ValueError.
+    """
+    try:
+        rows = np.array(points, dtype=float)
+    except TypeError as exc:
+        raise ValueError("source coordinates must be numbers") from exc
+    if rows.ndim == 1 and rows.size in (0, 3):
+        rows = rows.reshape(-1, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3 or not np.isfinite(rows).all():
+        raise ValueError("sources must be finite 3-vectors or the rows of an (m, 3) array")
+    return rows
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -204,7 +223,8 @@ def _echo_vertex(mics: MicArray, sets, root_tol: float, noise_sigma: float):
     e += pairs.reshape(-1, 1)
     zp = ((z0 + z1 * s1)[:, None] + z2 * s2).ravel()
     low, top = [s.item(0) for s in sets], [s.item(-1) for s in sets]
-    tau, std_max = (root_tol / mics.abs_det_c) * max(top) ** 3, 0.0
+    # NumPy's power rounds as Python's but overflows to inf, not OverflowError.
+    tau, std_max = (root_tol / mics.abs_det_c) * float(np.float64(max(top)) ** 3), 0.0
     if noise_sigma > 0.0:
         std = [2.0 * math.sqrt(x) * noise_sigma + noise_sigma**2 for x in top]
         square = 0.0
@@ -360,22 +380,24 @@ def match_submatrices(
     selected points span a full simplex). The depth-first search explores
     candidate tuples in lexicographic order of (i1, j1, i2, j2, ...), so the
     returned solution is the lexicographically least one; None means no
-    solution exists. Indices are 0-based.
+    solution exists, as when r exceeds either size. Indices are 0-based.
 
     Each search node holds a boolean mask over (a-row, b-row) pairs that
     agree with every pair chosen so far; choosing a pair narrows it with one
-    vectorized comparison (see _extend_match).
+    vectorized comparison (see _extend_match). The counts go to stats, when
+    given (see MatchStats).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("match_submatrices expects square matrices")
-    m, n = a.shape[0], b.shape[0]
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"r must be between 1 and min(m, n) = {min(m, n)}")
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    if r > min(a.shape[0], b.shape[0]):
+        return None
+    stats = MatchStats() if stats is None else stats
     mask = abs(a.diagonal()[:, None] - b.diagonal()) <= eq_tol
-    if stats is not None:
-        stats.comparisons += mask.size
+    stats.comparisons += mask.size
     return _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, (), (), {})
 
 
@@ -414,8 +436,7 @@ def _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, ii, jj, rank_cache):
                 idx = np.array(sel)
                 rank = bordered_rank(a[idx[:, None], idx], rank_tol)
             rank_cache[sel] = rank
-            if stats is not None:
-                stats.rank_checks += 1
+            stats.rank_checks += 1
         if rank != k:
             continue
         cols = mask[i].nonzero()[0].tolist()
@@ -425,8 +446,7 @@ def _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, ii, jj, rank_cache):
             # A later pair (row, col) must match a[row, i] with b[col, j].
             narrowed = mask & (abs(a[:, i, None] - b[:, j]) <= eq_tol)
             narrowed[:, j] = False
-            if stats is not None:
-                stats.comparisons += narrowed.size
+            stats.comparisons += narrowed.size
             found = _extend_match(
                 a, b, r, eq_tol, rank_tol, stats, narrowed, sel, (*jj, j), rank_cache
             )
@@ -483,11 +503,9 @@ def update_sources(points, registry: SourceRegistry, dedup_eps: float = 1e-3) ->
     of an earlier new point) is already known. One pass of the registry's
     formula gives these squared distances; the kept points' rows are what the
     registry stores. Returns the list of newly added points; the registry is
-    extended in place.
+    extended in place. points are read as extend() reads them (_as_points).
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError("update_sources expects points as the rows of an (m, 3) array")
+    points = _as_points(points)
     n = len(registry)
     d = squared_distances(points, np.concatenate([registry.as_array(), points]))
     apart = d > dedup_eps**2  # (m, n + m)
@@ -518,9 +536,10 @@ def locate_step(
     """Run one full locate step against the registry (which it may extend).
 
     The detected sources are placed once in the vehicle frame of the
-    emission (MicArray.positions). The first call with at least four
-    non-coplanar detected sources registers them as they are, which freezes
-    that frame, and returns success without a pose. Later calls match the
+    emission (MicArray.positions). The first call deduplicates them as
+    update_sources does; if at least four non-coplanar sources remain, it
+    registers them, which freezes that frame, and returns success without a
+    pose, else it FAILs and the next call tries again. Later calls match the
     placed points' squared distances against the registry's, fit the pose on
     the four matched placed points (self_locate), return it in the frozen
     frame and map every detected source through it before registering the
@@ -554,7 +573,11 @@ def locate_step(
         if len(points) < 4 or affine_dimension(points, rank_tol) < 3:
             return LocateResult("fail", fail_reason="coplanar_sources")
         if len(state) == 0:
-            new = update_sources(points, state, dedup_eps)
+            # Deduplicated, the sources must still be four and span a frame.
+            new = update_sources(points, SourceRegistry(), dedup_eps)
+            if len(new) < 4 or affine_dimension(new, rank_tol) < 3:
+                return LocateResult("fail", fail_reason="coplanar_sources")
+            state.extend(new)
             return LocateResult("success", pose=None, new_sources=tuple(new))
         d_detected = pairwise_squared_distances(points)  # the registry's formula
         found = match_submatrices(d_detected, state.distance_matrix(), 4, eq_tol, rank_tol)

@@ -587,12 +587,23 @@ def test_match_submatrices_argument_validation():
     d = np.zeros((3, 3))
     with pytest.raises(ValueError):
         match_submatrices(d, d, 0)
-    with pytest.raises(ValueError):
-        match_submatrices(d, d, 4)
+    assert match_submatrices(d, d, 4) is None  # r above both sizes: no solution
     with pytest.raises(ValueError):
         match_submatrices(np.float64(0.0), d, 1)
     with pytest.raises(ValueError):
         match_submatrices(d, np.float64(0.0), 1)
+
+
+def test_match_submatrices_is_none_when_r_exceeds_either_matrix():
+    # The same points on both sides, so a match exists once both have four.
+    pts = np.random.default_rng(9).uniform(-3, 3, (6, 3))
+    six, three = pairwise_squared_distances(pts), pairwise_squared_distances(pts[:3])
+    assert match_submatrices(six, six, 4) == brute_force_match(six, six, 4) is not None
+    for a, b in ((six, three), (three, six)):
+        stats = MatchStats()
+        assert match_submatrices(a, b, 4, stats=stats) is None
+        assert brute_force_match(a, b, 4) is None
+        assert stats == MatchStats()  # nothing searched
 
 
 def search_instance(rng, r, eq_tol, lattice, planted):
@@ -1030,6 +1041,35 @@ def test_update_sources_on_a_large_registry_takes_transposed_points():
     assert len(registry) > 130
 
 
+def test_registry_accepts_points_only():
+    assert len(SourceRegistry()) == len(SourceRegistry([])) == 0
+    assert len(SourceRegistry([np.zeros(3), np.ones(3)])) == 2
+    assert len(SourceRegistry([1.0, 2.0, 3.0])) == 1
+    assert len(SourceRegistry(np.zeros((0, 3)))) == 0
+    bad = {
+        "pairs": [[1, 2], [3, 4], [5, 6]],
+        "nan": [[np.nan, 0, 0]],
+        "inf": [[0, np.inf, 0]],
+        "scalar": 5.0,
+        "four-vector": [1.0, 2.0, 3.0, 4.0],
+        "stacked": np.zeros((2, 1, 3)),
+        "ragged": [[1.0, 2.0, 3.0], [4.0, 5.0]],
+        "text": ["a", "b", "c"],
+        "object": object(),
+    }
+    for name, points in bad.items():
+        with pytest.raises(ValueError):
+            SourceRegistry(points)
+        for registry in (SourceRegistry(), SourceRegistry([[7.0, 8.0, 9.0]])):
+            before = registry.as_array().copy()
+            with pytest.raises(ValueError):
+                registry.extend(points)
+            with pytest.raises(ValueError):
+                update_sources(points, registry)
+            assert np.array_equal(registry.as_array(), before), name
+            _assert_registry_matrix_is_a_rebuild(registry)
+
+
 def test_registry_arrays_are_read_only():
     registry = SourceRegistry([np.zeros(3), np.ones(3)])
     for view in (registry.as_array(), registry.distance_matrix(), registry.sources[0]):
@@ -1073,6 +1113,37 @@ def test_locate_step_three_sources_fail_coplanar():
     assert result.fail_reason == "coplanar_sources"
     assert result.pose is None and result.new_sources is None
     assert len(registry) == 0
+
+
+def test_locate_step_on_three_known_sources_fails_no_match():
+    scn = box_scenario()
+    echoes = generate_echoes(scn, scn.path[0])
+    full = SourceRegistry()
+    assert locate_step(full, scn.mics, echoes).status == "success"
+    registry = SourceRegistry(full.as_array()[:3])
+    points, matrix = registry.as_array().copy(), registry.distance_matrix().copy()
+    result = locate_step(registry, scn.mics, echoes)
+    assert result.status == "fail" and result.fail_reason == "no_match"
+    assert np.array_equal(registry.as_array(), points)
+    assert np.array_equal(registry.distance_matrix(), matrix)
+
+
+def test_bootstrap_fails_when_deduplication_leaves_three_sources():
+    # The speaker sits 0.4 mm from the wall x = 0, so it and its mirror point
+    # (0.8 mm apart) merge within the 1 mm dedup radius: four sources are
+    # detected, three would be registered, and no later step could match.
+    from echopath import run
+
+    walls = [Wall(Hyperplane(normal, 0.0)) for normal in -np.eye(3)]
+    path = [Pose([2.0 + 0.1 * i, 2.0, 1.5], np.eye(3)) for i in range(4)]
+    scn = Scenario(walls, [0.0004, 1.0, 1.0], MICS, path, occlusion_enabled=False)
+    placed = scn.mics.positions(echo_match(scn.mics, generate_echoes(scn, path[0])).delta)
+    assert len(placed) == 4
+    records, metrics = run(scn)
+    assert [r.status for r in records] == ["fail"] * 4
+    assert {r.fail_reason for r in records} == {"coplanar_sources"}
+    assert all(r.n_sources_known == 0 for r in records)
+    assert metrics.fail_count == 4 and metrics.bootstrap_step_index is None
 
 
 def test_locate_step_vertical_walls_fail_coplanar():
@@ -1121,6 +1192,18 @@ def test_fewer_than_four_sources_fail_coplanar(echoes, n_sources, bootstrapped, 
     assert len(registry) == len(snapshot) == (7 if bootstrapped else 0)
     assert np.array_equal(registry.as_array(), snapshot.as_array())
     assert np.array_equal(registry.distance_matrix(), snapshot.distance_matrix())
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_echoes_whose_cube_overflows_fail_without_raising(sigma):
+    # (1e200)^3 overflows: the echo window's bound is inf, not an OverflowError.
+    echoes = EchoSet(tuple((1e200 * (1.0 + k),) for k in range(4)))
+    for registry in (SourceRegistry(), SourceRegistry(np.eye(4, 3))):
+        points = registry.as_array().copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = locate_step(registry, MICS, echoes, sigma)
+        assert (result.status, result.fail_reason) == ("fail", "coplanar_sources")
+        assert np.array_equal(registry.as_array(), points)
 
 
 def test_locate_step_bootstrap_then_pose():
