@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    _EPS,
     DEFAULT_RANK_TOL,
     DegenerateGeometryError,
+    _certified_full_rank,
     _numerical_rank,
     affine_dimension,
     pairwise_squared_distances,
@@ -69,16 +71,99 @@ def bordered_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     leaves the exact rank as it is, border(m / s) = diag(s, I) border(m)
     diag(1, I / s), and makes the verdict independent of the units: rank
     counts singular values of border(m / s) above tol * sigma_max.
+
+    A 3x3 or 4x4 m with zero diagonal that is symmetric (three or four
+    points) has full rank, k - 1 for k points, without an SVD when its
+    Cayley-Menger determinant bounds sigma_min / sigma_max of border(m / s)
+    at 2 tol or above (_cm_ratio_sq), for tol >= 1e-12: the SVD would count
+    every value too (geometry._certified_full_rank). Every other m, a
+    rank-deficient block included, takes the SVD.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("bordered_rank expects a square matrix")
-    out = np.empty((m.shape[0] + 1, m.shape[0] + 1))
+    k = m.shape[0]
+    if 3 <= k <= 4 and _certified_full_rank(_cm_ratio_sq(m.tolist()), tol):
+        return k - 1
+    out = np.empty((k + 1, k + 1))
     out.fill(1.0)
     out[0, 0] = 0.0
     scale = np.maximum.reduce(np.abs(m), None, initial=0.0)
     np.divide(m, scale if scale > 0.0 else 1.0, out=out[1:, 1:])
     return _numerical_rank(out, tol) - 2
+
+
+def _cm_ratio_sq(block: list) -> float:
+    """A lower bound on (sigma_min / sigma_max)^2 of M = border(block / s),
+    s the largest |entry|, for geometry._certified_full_rank; 0.0 or less
+    when it shows nothing.
+
+    block is a 3x3 or 4x4 nested list; any block whose diagonal is not zero
+    or that is not symmetric (NaN entries included), or that is all zero,
+    gives 0.0. The entries are divided by s as bordered_rank divides them,
+    so M is the matrix its SVD would see. With n = k + 1 for k points, M is
+    n x n, the product of its singular values is |det M| and the sum of
+    their squares is F = ||M||_F^2 = 2k + 2 sum d_ij^2 (i < j). AM-GM over
+    the n - 2 middle values, at most (F - sigma_max^2) / (n - 2) on
+    average, bounds sigma_max^2 times their product by the largest
+    t ((F - t) / (n - 2))^((n - 2) / 2), 2 (F / n)^(n / 2) at t = 2F / n,
+    so (sigma_min / sigma_max)^2 >= det^2 / (4 (F / n)^n). The closed
+    forms, with x, y, z = d12, d13, d23 and a..f = d12, d13, d14, d23, d24,
+    d34:
+    - three points: det M = x^2 + y^2 + z^2 - 2 (xy + yz + zx) = -16 A^2;
+    - four points: det M = 2 [af (b + c + d + e - a - f) + be (a + c + d
+      + f - b - e) + cd (a + b + e + f - c - d) - abd - ace - bcf - def]
+      = 288 V^2.
+
+    Round-off, with eps = 2^-52: each monomial of a closed form takes at
+    most 4 (three points) or 13 (four points) roundings, so the computed
+    det is within 7 eps det_abs of det M, det_abs the same expression with
+    every term made nonnegative, and |det| - 16 eps det_abs is at most
+    |det M|.
+    F, its power and the quotient round within a relative 1e-12, and an
+    underflowing product moves by at most 2^-1074, nothing against the
+    |det M| of at least 4e-12 that a certificate needs.
+    """
+    if len(block) == 3:
+        (o0, x, y), (x_, o1, z), (y_, z_, o2) = block
+        if o0 or o1 or o2 or x != x_ or y != y_ or z != z_:
+            return 0.0
+        s = max(abs(x), abs(y), abs(z))
+        if not s > 0.0:
+            return 0.0
+        x, y, z = x / s, y / s, z / s
+        sq = x * x + y * y + z * z
+        det = 2.0 * (x * y + y * z + z * x) - sq
+        det_abs = 2.0 * (abs(x * y) + abs(y * z) + abs(z * x)) + sq
+        n, frob_sq = 4, 6.0 + 2.0 * sq
+    else:
+        (o0, a, b, c), (a_, o1, d, e), (b_, d_, o2, f), (c_, e_, f_, o3) = block
+        if o0 or o1 or o2 or o3 or a != a_ or b != b_ or c != c_ or d != d_ or e != e_ or f != f_:
+            return 0.0
+        s = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
+        if not s > 0.0:
+            return 0.0
+        a, b, c, d, e, f = a / s, b / s, c / s, d / s, e / s, f / s
+        total = abs(a) + abs(b) + abs(c) + abs(d) + abs(e) + abs(f)
+        det = 2.0 * (
+            a * f * (b + c + d + e - a - f)
+            + b * e * (a + c + d + f - b - e)
+            + c * d * (a + b + e + f - c - d)
+            - a * b * d
+            - a * c * e
+            - b * c * f
+            - d * e * f
+        )
+        det_abs = 2.0 * (
+            (abs(a * f) + abs(b * e) + abs(c * d)) * total
+            + abs(a * b * d)
+            + abs(a * c * e)
+            + abs(b * c * f)
+            + abs(d * e * f)
+        )
+        n, frob_sq = 5, 8.0 + 2.0 * (a * a + b * b + c * c + d * d + e * e + f * f)
+    low = abs(det) - 16.0 * _EPS * det_abs
+    return low * abs(low) / (4.0 * (frob_sq / n) ** n)
 
 
 @dataclass(frozen=True, eq=False)

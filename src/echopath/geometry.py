@@ -174,15 +174,82 @@ def _numerical_rank(m: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
+_EPS = np.finfo(float).eps
+# Below this rank tolerance no verdict skips the SVD (see _certified_full_rank).
+_CERTIFY_MIN_TOL = 1e-12
+
+
+def _certified_full_rank(ratio_sq: float, tol: float) -> bool:
+    """True when ratio_sq proves that _numerical_rank(m, tol) counts every
+    singular value of m.
+
+    ratio_sq must be a lower bound on (sigma_min / sigma_max)^2 of m up to a
+    relative error of 1e-3, and it is certified at 4 tol^2, so sigma_min >=
+    1.998 tol sigma_max. LAPACK's SVD returns the singular values of m + E
+    with ||E|| <= c eps sigma_max, c a modest function of the size of m, so
+    each computed value is within c eps sigma_max of its own (Weyl):
+    sigma_min - c eps sigma_max > tol (1 + c eps) sigma_max, at least the
+    computed sigma_max times tol, whenever tol (0.998 - c eps) > c eps (the
+    product with tol rounds by eps / 2 more). For tol >= 1e-12 = 4500 eps
+    that holds for any c below 4000, so the SVD's count is full too and the
+    verdict is the same. A NaN ratio_sq or tol, or a tol below 1e-12,
+    proves nothing.
+    """
+    return ratio_sq >= 4.0 * tol * tol and tol >= _CERTIFY_MIN_TOL
+
+
+def _gram_ratio_sq(x: np.ndarray) -> float:
+    """A lower bound on (sigma_3 / sigma_1)^2 of x (p rows, 3 columns), for
+    _certified_full_rank; 0.0 or less when it shows nothing.
+
+    G = x^T x has the eigenvalues l1 >= l2 >= l3 = sigma_i^2 and trace T,
+    and l1^2 l2 is at most 4 T^3 / 27 (the largest t^2 (T - t), at t =
+    2T/3), so l3 / l1 = det G / (l1^2 l2) >= 27 det G / (4 T^3).
+
+    Round-off, with eps = 2^-52: the product's entries are within d =
+    0.51 p eps sqrt(G_ii G_jj) <= 0.51 p eps T of G's, in any summation
+    order, and every |G_ij| <= T, so det of the computed G is within
+    6 ((T + d)^3 - T^3) <= 10 p eps T^3 of det G (six products of three
+    entries). Its evaluation adds at most 5 roundings per product, 16 eps
+    T^3 over the six, and the computed trace t has T <= (1 + (p + 2) eps) t.
+    The floor 16 (p + 2) eps t^3 covers both terms, and the rest of the
+    bound rounds within a relative 1e-3 for any p below 1e12. Without the
+    floor, flat sets would pass on round-off alone at tol = 1e-12. A trace
+    outside [1e-100, 1e100] (NaN or inf included) gives 0.0: inside it no
+    product overflows, and underflow moves a product by at most 2^-1074,
+    far below the floor.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        (g00, g01, g02), (_, g11, g12), (*_, g22) = (x.T @ x).tolist()
+    t = g00 + g11 + g22
+    if not 1e-100 <= t <= 1e100:
+        return 0.0
+    det = (
+        g00 * (g11 * g22 - g12 * g12)
+        - g01 * (g01 * g22 - g12 * g02)
+        + g02 * (g01 * g12 - g11 * g02)
+    )
+    cube = t * t * t
+    return 27.0 * (det - 16.0 * (len(x) + 2) * _EPS * cube) / (4.0 * cube)
+
+
 def affine_dimension(points, tol: float = DEFAULT_RANK_TOL) -> int:
     """Dimension of the affine span of a point set.
 
     Numerical rank (relative threshold tol) of the differences v_i - v_0.
+    In 3-d, at least four points whose differences' Gram matrix bounds
+    sigma_3 / sigma_1 at 2 tol or above (_gram_ratio_sq) span the space
+    without an SVD, for tol >= 1e-12; the SVD would count all three values
+    (_certified_full_rank). Every other set, a flat one included, takes the
+    SVD.
     """
     pts = np.array(points, dtype=float, copy=None, ndmin=2)
     if pts.shape[0] < 1:
         raise ValueError("affine_dimension needs at least one point")
-    return _numerical_rank(pts[1:] - pts[0], tol)
+    x = pts[1:] - pts[0]
+    if x.shape[1:] == (3,) and len(x) >= 3 and _certified_full_rank(_gram_ratio_sq(x), tol):
+        return 3
+    return _numerical_rank(x, tol)
 
 
 def linearly_independent_hyperplanes(hs, tol: float = DEFAULT_RANK_TOL) -> bool:

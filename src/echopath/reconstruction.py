@@ -40,6 +40,7 @@ from .cayley_menger import (
     mutual_distances,
 )
 from .geometry import (
+    _EPS,
     DegenerateGeometryError,
     affine_dimension,
     pairwise_squared_distances,
@@ -199,7 +200,6 @@ def _polynomial_noise_std(mics: MicArray, grid: np.ndarray, sigma: float) -> np.
 
 # Under noise the echo-root test is widened by this many predicted noise stds.
 _NOISE_MARGIN = 8.0
-_EPS = np.finfo(float).eps
 
 
 def _echo_vertex(mics: MicArray, sets, root_tol: float, noise_sigma: float):
@@ -315,7 +315,10 @@ def echo_match(
     distinct entries, as an EchoSet's are; any other e is read as
     EchoSet(e.d_sets) first, which merges repeated entries. The columns come
     out distinct and in lexicographic order. root_tol must be nonnegative and
-    finite; at 0 a column is kept only when its polynomial rounds to 0.
+    finite; at 0 a column is kept only when its polynomial rounds to 0. An
+    emission whose root_tol (max d_i)^3, over all four sets, is not a finite
+    float keeps no column: its thresholds would reach inf and accept the
+    whole grid.
 
     With noise_sigma > 0 the root test is additionally widened per column by
     eight times the polynomial's predicted noise std, so true columns
@@ -341,7 +344,13 @@ def echo_match(
     if not isinstance(e, EchoSet):
         e = EchoSet(e.d_sets)
     sets = [np.asarray(s, dtype=float) for s in e.d_sets]
-    if any(s.size == 0 for s in sets):
+    try:  # Python's power raises OverflowError where NumPy's row thresholds overflow
+        empty = any(s.size == 0 for s in sets) or not (
+            root_tol * max(s.item(-1) for s in sets) ** 3 < math.inf
+        )
+    except OverflowError:
+        empty = True
+    if empty:
         return EchoAssignment(np.zeros((4, 0)))
     grid = _root_window_grid(mics, sets, root_tol, noise_sigma)
     vals = cm_polynomial_batch(mics, grid)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_rotation
 
 from echopath import (
     DegenerateGeometryError,
@@ -12,12 +13,15 @@ from echopath import (
     pairwise_squared_distances,
     recover_point,
 )
+from echopath import cayley_menger
 from echopath.cayley_menger import (
     _cm_polynomial_gradient,
+    _cm_ratio_sq,
     border,
     cm_polynomial_batch,
     validate_distance_matrix,
 )
+from echopath.geometry import _numerical_rank
 
 MICS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
 
@@ -131,6 +135,113 @@ def test_bordered_rank_does_not_depend_on_the_units(scale):
             assert bordered_rank(d) == dim
             assert bordered_rank(scale * d) == dim
             assert bordered_rank(scale * d, 1e-3) == dim
+
+
+RANK_TOLS = (1e-12, 1e-9, 1e-6, 1e-3)
+
+
+def svd_bordered_rank(d, tol):
+    """bordered_rank's definition, always by SVD: border(d / s), s = max |d_ij|."""
+    s = np.abs(d).max()
+    return _numerical_rank(border(d / s if s > 0.0 else d), tol) - 2
+
+
+def svd_ratio(d):
+    """sigma_min / sigma_max of border(d / s), by SVD."""
+    sv = np.linalg.svd(border(d / np.abs(d).max()), compute_uv=False)
+    return sv[-1] / sv[0]
+
+
+def placed(rng, local):
+    """local points rotated, scaled by 1e-6 to 1e6 and moved, as the search sees them."""
+    scale = 10.0 ** rng.uniform(-6.0, 6.0)
+    return scale * (local @ random_rotation(rng).T + rng.uniform(-5.0, 5.0, 3))
+
+
+def thin_simplex(rng, k):
+    """k = 3 or 4 random points squashed to aspect 1e-14 to 1: thin triangles,
+    near-coplanar tetrahedra and sometimes exactly flat ones."""
+    local = rng.standard_normal((k, 3))
+    local[:, 2] *= 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-14.0, 0.0)
+    if k == 3:
+        local[:, 1] *= 10.0 ** rng.uniform(-14.0, 0.0)
+        local[:, 2] = 0.0
+    elif rng.random() < 0.3:
+        local[:, 1] *= 10.0 ** rng.uniform(-14.0, 0.0)  # near a line
+    return placed(rng, local)
+
+
+def test_bordered_rank_certificate_equals_the_svd_on_thin_simplices():
+    rng = np.random.default_rng(2801)
+    certified = 0
+    for _ in range(2000):
+        d = pairwise_squared_distances(thin_simplex(rng, int(rng.integers(3, 5))))
+        bound = _cm_ratio_sq(d.tolist())
+        assert bound <= (svd_ratio(d) + 1e-14) ** 2 * 1.001
+        for tol in RANK_TOLS:
+            assert bordered_rank(d, tol) == svd_bordered_rank(d, tol)
+            certified += bound >= 4.0 * tol * tol
+    assert certified > 1000  # the shortcut is taken, not only declined
+
+
+def tetra_at_ratio(rng, target):
+    """Four points whose bordered ratio sigma_min / sigma_max is target within
+    1e-3, by bisection on the height of the apex (up to 0.3, where the ratio
+    still grows with it)."""
+    while True:
+        base = np.column_stack([rng.standard_normal((3, 2)), np.zeros(3)])
+        apex_xy = rng.standard_normal(2)
+        rotation, shift = random_rotation(rng), rng.uniform(-5.0, 5.0, 3)
+
+        def block(log_h):
+            local = np.vstack([base, [*apex_xy, 10.0**log_h]])
+            return pairwise_squared_distances(local @ rotation.T + shift)
+
+        lo, hi = -9.0, -0.5
+        if svd_ratio(block(hi)) > target:
+            break
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if svd_ratio(block(mid)) < target else (lo, mid)
+    d = block(hi)
+    assert abs(svd_ratio(d) / target - 1.0) < 1e-3
+    return d
+
+
+@pytest.mark.parametrize("tol", RANK_TOLS)
+def test_bordered_rank_certificate_equals_the_svd_near_the_tolerance(tol):
+    # Within a few percent of tol the bound, at most the ratio, is below
+    # 2 tol, so the SVD decides; from 2 tol up the bound may take over.
+    rng = np.random.default_rng(int(-np.log10(tol)))
+    for factor in [*rng.uniform(0.95, 1.05, 30), *10.0 ** rng.uniform(0.0, 1.0, 30)]:
+        d = tetra_at_ratio(rng, factor * tol)
+        if factor < 1.9:
+            assert _cm_ratio_sq(d.tolist()) < 4.0 * tol * tol
+        assert bordered_rank(d, tol) == svd_bordered_rank(d, tol)
+        for other in RANK_TOLS:
+            assert bordered_rank(d, other) == svd_bordered_rank(d, other)
+
+
+def test_bordered_rank_takes_the_svd_for_blocks_that_are_no_distances(monkeypatch):
+    # A Gram matrix has a nonzero diagonal and a perturbed block is not
+    # symmetric: the closed forms do not hold, so both go to the SVD.
+    svd_calls = []
+    real = cayley_menger._numerical_rank
+    monkeypatch.setattr(
+        cayley_menger, "_numerical_rank", lambda m, tol: svd_calls.append(m) or real(m, tol)
+    )
+    rng = np.random.default_rng(2802)
+    for k in (3, 4):
+        pts = rng.uniform(-5.0, 5.0, (k, 3))
+        gram = pts @ pts.T
+        skew = pairwise_squared_distances(pts)
+        skew[0, 1] += 1e-3
+        for m in (gram, skew):
+            assert _cm_ratio_sq(m.tolist()) == 0.0
+            for tol in RANK_TOLS:
+                svd_calls.clear()
+                assert bordered_rank(m, tol) == svd_bordered_rank(m, tol)
+                assert len(svd_calls) == 1
 
 
 def test_rank_identity_exact_arithmetic():

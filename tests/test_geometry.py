@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from conftest import random_rotation
 
 from echopath import (
     Hyperplane,
@@ -11,6 +14,8 @@ from echopath import (
     pairwise_squared_distances,
     reflect_point,
 )
+from echopath import cayley_menger, geometry
+from echopath.geometry import _gram_ratio_sq, _numerical_rank
 
 
 def test_reflect_coordinate_plane():
@@ -110,6 +115,85 @@ def test_affine_dimension_equals_bordered_rank_of_distances():
         pts = rng.uniform(-5, 5, (k, dim))
         d = pairwise_squared_distances(pts)
         assert bordered_rank(d, 1e-8) == affine_dimension(pts, 1e-8)
+
+
+RANK_TOLS = (1e-12, 1e-9, 1e-6, 1e-3)
+
+
+def svd_affine_dimension(pts, tol):
+    """affine_dimension's definition, always by SVD."""
+    return _numerical_rank(pts[1:] - pts[0], tol)
+
+
+def test_affine_dimension_certificate_equals_the_svd_on_flat_sets():
+    # 4 to 12 points squashed to aspect 1e-14 to 1 (a tenth of them exactly
+    # flat before the motion), rotated, moved and scaled by 1e-6 to 1e6.
+    rng = np.random.default_rng(2803)
+    certified = 0
+    for _ in range(2000):
+        local = rng.standard_normal((int(rng.integers(4, 13)), 3))
+        local[:, 2] *= 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-14.0, 0.0)
+        local[:, 1] *= 10.0 ** rng.uniform(-3.0, 0.0)
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        pts = scale * (local @ random_rotation(rng).T + rng.uniform(-5.0, 5.0, 3))
+        sv = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
+        bound = _gram_ratio_sq(pts[1:] - pts[0])
+        assert bound <= (sv[2] / sv[0] + 1e-14) ** 2 * 1.001
+        for tol in RANK_TOLS:
+            assert affine_dimension(pts, tol) == svd_affine_dimension(pts, tol)
+            certified += bound >= 4.0 * tol * tol
+    assert certified > 1000  # the shortcut is taken, not only declined
+
+
+@pytest.mark.parametrize("tol", RANK_TOLS)
+def test_affine_dimension_certificate_equals_the_svd_near_the_tolerance(tol):
+    # Differences U diag(1, a, h) V^T with orthonormal U and V have
+    # sigma_3 / sigma_1 = h; within a few percent of tol the SVD decides.
+    rng = np.random.default_rng(int(-np.log10(tol)))
+    for factor in [*rng.uniform(0.95, 1.05, 40), *10.0 ** rng.uniform(0.0, 1.0, 40)]:
+        u, _ = np.linalg.qr(rng.standard_normal((int(rng.integers(3, 12)), 3)))
+        diffs = u * [1.0, 10.0 ** rng.uniform(-2.0, 0.0), factor * tol] @ random_rotation(rng)
+        pts = np.vstack([np.zeros(3), diffs])
+        if factor < 1.9:
+            assert _gram_ratio_sq(diffs) < 4.0 * tol * tol
+        for other in RANK_TOLS:
+            assert affine_dimension(pts, other) == svd_affine_dimension(pts, other)
+
+
+def test_affine_dimension_takes_the_svd_where_the_gram_matrix_overflows(monkeypatch):
+    # Coordinates near 1e155 square past the largest float; the certificate
+    # declines without a warning and the SVD, which scales, decides.
+    svd_calls = []
+    monkeypatch.setattr(
+        geometry, "_numerical_rank", lambda m, tol: svd_calls.append(m) or _numerical_rank(m, tol)
+    )
+    rng = np.random.default_rng(2804)
+    for flat in (False, True):
+        local = rng.uniform(-1.0, 1.0, (6, 3))
+        local[:, 2] *= not flat
+        pts = 1e155 * local
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _gram_ratio_sq(pts[1:] - pts[0]) == 0.0
+            for tol in RANK_TOLS:
+                svd_calls.clear()
+                assert affine_dimension(pts, tol) == svd_affine_dimension(pts, tol) == 3 - flat
+                assert len(svd_calls) == 1
+
+
+def test_rank_tolerances_below_1e_12_take_the_svd(monkeypatch):
+    # There the SVD's own round-off could flip a verdict the bound certifies.
+    svd_calls = []
+    for module in (geometry, cayley_menger):
+        monkeypatch.setattr(
+            module, "_numerical_rank", lambda m, tol: svd_calls.append(m) or _numerical_rank(m, tol)
+        )
+    tetra = np.vstack([np.zeros(3), np.eye(3)])
+    for tol, svd_count in ((1e-12, 0), (1e-13, 2), (-1.0, 2)):
+        svd_calls.clear()
+        assert affine_dimension(tetra, tol) == 3
+        assert bordered_rank(pairwise_squared_distances(tetra), tol) == 3
+        assert len(svd_calls) == svd_count
 
 
 def test_affine_dimension_vs_bordered_rank_exact_integer_sets():

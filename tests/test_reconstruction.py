@@ -1,5 +1,6 @@
 import copy
 import gc
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -40,7 +41,7 @@ from echopath import (
     update_sources,
     world_microphones,
 )
-from echopath import reconstruction
+from echopath import cayley_menger, geometry, reconstruction
 from echopath.cayley_menger import (
     _cm_polynomial_gradient,
     border,
@@ -1206,6 +1207,41 @@ def test_echoes_whose_cube_overflows_fail_without_raising(sigma):
         assert np.array_equal(registry.as_array(), points)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_echoes_whose_threshold_overflows_fail_without_a_warning(sigma):
+    # Scaled by 1e150, the box's first emission has squared distances near
+    # 1e152 and root_tol max(x)^3 overflows: no column has a finite
+    # threshold, so none is kept and the bootstrap FAILs.
+    scn = box_scenario()
+    echoes = generate_echoes(scn, scn.path[0], 0)
+    huge = EchoSet(tuple(tuple(1e150 * x for x in s) for s in echoes.d_sets))
+    registry = SourceRegistry()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert echo_match(scn.mic_local, huge, noise_sigma=sigma).n_sources == 0
+        result = locate_step(registry, scn.mic_local, huge, sigma)
+    assert (result.status, result.fail_reason) == ("fail", "coplanar_sources")
+    assert len(registry) == 0
+
+
+def test_a_located_noiseless_step_takes_no_svd(monkeypatch):
+    # Step 4 of the box's path meets no collinear prefix in its search, so
+    # every rank test of the step has full rank and a closed-form bound
+    # decides it: the placed points' Gram matrix and the prefixes'
+    # Cayley-Menger determinants.
+    scn = box_scenario()
+    mics = MicArray(scn.mic_local)
+    registry = SourceRegistry()
+    assert locate_step(registry, mics, generate_echoes(scn, scn.path[0], 0)).status == "success"
+    echoes = generate_echoes(scn, scn.path[4], 4)
+    svd_calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: svd_calls.append(m) or svd(m, **kw))
+    result = locate_step(registry, mics, echoes)
+    assert result.status == "success" and result.pose is not None
+    assert svd_calls == []
+
+
 def test_locate_step_bootstrap_then_pose():
     scn = box_scenario()
     registry = SourceRegistry()
@@ -1278,6 +1314,39 @@ def noisy_box_run_scenario() -> Scenario:
         seed=0,
         occlusion_enabled=False,
     )
+
+
+def test_noisy_run_is_the_same_without_rank_certificates(monkeypatch):
+    # Every certified rank verdict is the SVD's: declining them all leaves
+    # each record bit for bit as it was.
+    from echopath import run
+
+    def fields(record):
+        poses = [p for p in (record.est_pose, record.true_pose) if p is not None]
+        return (
+            record.step_index,
+            record.status,
+            record.fail_reason,
+            record.n_sources_known,
+            record.n_sources_new,
+            record.position_error,
+            record.orientation_error,
+            b"".join(p.v.tobytes() + p.A.tobytes() for p in poses),
+        )
+
+    scn = noisy_box_run_scenario()
+    certified, _ = run(scn)
+    declined = []
+
+    def decline(ratio_sq, tol):
+        declined.append(ratio_sq >= 4.0 * tol * tol)
+        return False
+
+    for module in (geometry, cayley_menger):
+        monkeypatch.setattr(module, "_certified_full_rank", decline)
+    plain, _ = run(scn)
+    assert sum(declined) > 100  # verdicts the bound would have taken
+    assert [fields(r) for r in certified] == [fields(r) for r in plain]
 
 
 def test_noisy_run_is_the_same_with_a_rebuilt_registry_matrix(monkeypatch):
