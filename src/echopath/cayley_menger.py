@@ -72,18 +72,19 @@ def bordered_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     diag(1, I / s), and makes the verdict independent of the units: rank
     counts singular values of border(m / s) above tol * sigma_max.
 
-    A 3x3 or 4x4 m with zero diagonal that is symmetric (three or four
+    A 1x1 to 4x4 m with zero diagonal that is symmetric (one to four
     points) has full rank, k - 1 for k points, without an SVD when its
     Cayley-Menger determinant bounds sigma_min / sigma_max of border(m / s)
     at 2 tol or above (_cm_ratio_sq), for tol >= 1e-12: the SVD would count
     every value too (geometry._certified_full_rank). Every other m, a
-    rank-deficient block included, takes the SVD.
+    rank-deficient block such as two coincident points included, takes the
+    SVD.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("bordered_rank expects a square matrix")
     k = m.shape[0]
-    if 3 <= k <= 4 and _certified_full_rank(_cm_ratio_sq(m.tolist()), tol):
+    if 1 <= k <= 4 and _certified_full_rank(_cm_ratio_sq(m.tolist()), tol):
         return k - 1
     out = np.empty((k + 1, k + 1))
     out.fill(1.0)
@@ -98,32 +99,40 @@ def _cm_ratio_sq(block: list) -> float:
     s the largest |entry|, for geometry._certified_full_rank; 0.0 or less
     when it shows nothing.
 
-    block is a 3x3 or 4x4 nested list; any block whose diagonal is not zero
-    or that is not symmetric (NaN entries included), or that is all zero,
-    gives 0.0. The entries are divided by s as bordered_rank divides them,
-    so M is the matrix its SVD would see. With n = k + 1 for k points, M is
-    n x n, the product of its singular values is |det M| and the sum of
-    their squares is F = ||M||_F^2 = 2k + 2 sum d_ij^2 (i < j). AM-GM over
-    the n - 2 middle values, at most (F - sigma_max^2) / (n - 2) on
-    average, bounds sigma_max^2 times their product by the largest
-    t ((F - t) / (n - 2))^((n - 2) / 2), 2 (F / n)^(n / 2) at t = 2F / n,
-    so (sigma_min / sigma_max)^2 >= det^2 / (4 (F / n)^n). The closed
-    forms, with x, y, z = d12, d13, d23 and a..f = d12, d13, d14, d23, d24,
-    d34:
+    block is a 1x1 to 4x4 nested list; any block whose diagonal is not zero
+    or that is not symmetric (NaN entries included), and any all-zero block
+    of two or more points, gives 0.0. The entries are divided by s as
+    bordered_rank divides them, so M is the matrix its SVD would see. With
+    n = k + 1 for k points, M is n x n, the product of its singular values
+    is |det M| and the sum of their squares is F = ||M||_F^2 = 2k + 2 sum
+    d_ij^2 (i < j). AM-GM over the n - 2 middle values, at most (F -
+    sigma_max^2) / (n - 2) on average, bounds sigma_max^2 times their
+    product by the largest t ((F - t) / (n - 2))^((n - 2) / 2), 2 (F /
+    n)^(n / 2) at t = 2F / n, so (sigma_min / sigma_max)^2 >= det^2 / (4 (F
+    / n)^n). The closed forms, with x, y, z = d12, d13, d23 and a..f = d12,
+    d13, d14, d23, d24, d34:
+    - one point: M = [[0, 1], [1, 0]], det M = -1 and F = 2, a bound of 1/4;
+    - two points: x / s = +-1, det M = 2 x / s = +-2 and F = 6, a bound of
+      1/8 (an infinite x gives 0.0: inf / inf is NaN);
     - three points: det M = x^2 + y^2 + z^2 - 2 (xy + yz + zx) = -16 A^2;
     - four points: det M = 2 [af (b + c + d + e - a - f) + be (a + c + d
       + f - b - e) + cd (a + b + e + f - c - d) - abd - ace - bcf - def]
       = 288 V^2.
 
-    Round-off, with eps = 2^-52: each monomial of a closed form takes at
-    most 4 (three points) or 13 (four points) roundings, so the computed
-    det is within 7 eps det_abs of det M, det_abs the same expression with
-    every term made nonnegative, and |det| - 16 eps det_abs is at most
-    |det M|.
+    Round-off, with eps = 2^-52: the one- and two-point bounds are exact.
+    Each monomial of the other closed forms takes at most 4 (three points)
+    or 13 (four points) roundings, so the computed det is within 7 eps
+    det_abs of det M, det_abs the same expression with every term made
+    nonnegative, and |det| - 16 eps det_abs is at most |det M|.
     F, its power and the quotient round within a relative 1e-12, and an
     underflowing product moves by at most 2^-1074, nothing against the
     |det M| of at least 4e-12 that a certificate needs.
     """
+    if len(block) == 1:
+        return 0.25 if block[0][0] == 0.0 else 0.0
+    if len(block) == 2:
+        (o0, x), (x_, o1) = block
+        return 0.125 if not (o0 or o1) and x == x_ and 0.0 < abs(x) < np.inf else 0.0
     if len(block) == 3:
         (o0, x, y), (x_, o1, z), (y_, z_, o2) = block
         if o0 or o1 or o2 or x != x_ or y != y_ or z != z_:

@@ -179,8 +179,8 @@ class MatchStats:
 
     comparisons counts matrix entries compared, m * n for each vectorized
     test of an (m, n) candidate mask: one test of the diagonals and one for
-    each pair the search tries. rank_checks counts bordered-rank
-    computations, one per distinct row prefix i_1..i_k that reached a
+    each pair the search tries. rank_checks counts the search's
+    bordered_rank calls, one per distinct row prefix i_1..i_k that reached a
     candidate column.
     """
 
@@ -223,8 +223,7 @@ def _echo_vertex(mics: MicArray, sets, root_tol: float, noise_sigma: float):
     e += pairs.reshape(-1, 1)
     zp = ((z0 + z1 * s1)[:, None] + z2 * s2).ravel()
     low, top = [s.item(0) for s in sets], [s.item(-1) for s in sets]
-    # NumPy's power rounds as Python's but overflows to inf, not OverflowError.
-    tau, std_max = (root_tol / mics.abs_det_c) * float(np.float64(max(top)) ** 3), 0.0
+    tau, std_max = (root_tol / mics.abs_det_c) * max(top) ** 3, 0.0
     if noise_sigma > 0.0:
         std = [2.0 * math.sqrt(x) * noise_sigma + noise_sigma**2 for x in top]
         square = 0.0
@@ -427,23 +426,7 @@ def _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, ii, jj, rank_cache):
         sel = (*ii, i)
         rank = rank_cache.get(sel)
         if rank is None:
-            if k == 0 and rank_tol < 0.38:
-                # bordered_rank scales a_ii to 0 or +-1, and [[0, 1], [1, t]]
-                # with |t| <= 1 has singular values s and 1/s with s <= 1.62,
-                # so 1/s > 0.38 s > rank_tol * s: rank 2 - 2 = 0 = k.
-                rank = 0
-            elif k == 1 and rank_tol < 0.38 and a[ii[0], ii[0]] == 0.0 == a[i, i]:
-                # A zero-diagonal pair block scales to [[0, s], [s, 0]] with
-                # s = +-1, bordered [[0, 1, 1], [1, 0, s], [1, s, 0]] with
-                # eigenvalues 2, -1, -1 (s = 1) or -2, 1, 1 (s = -1): singular
-                # values 2, 1, 1 and 1 > 0.38 * 2, so rank 3 - 2 = 1. With d = 0
-                # the block stays 0, bordered of rank 2: rank 0 (the SVD's third
-                # value is round-off, 6e-17 of 1.4, so it agrees for any
-                # rank_tol above 1e-16).
-                rank = int(a[ii[0], i] != 0.0)
-            else:
-                idx = np.array(sel)
-                rank = bordered_rank(a[idx[:, None], idx], rank_tol)
+            rank = bordered_rank(a.take(sel, 0).take(sel, 1), rank_tol)
             rank_cache[sel] = rank
             stats.rank_checks += 1
         if rank != k:

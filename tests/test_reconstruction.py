@@ -691,6 +691,68 @@ def test_match_submatrices_two_row_rank_agrees_with_svd(rank_tol):
             )
 
 
+def degenerate_instance(rng, r):
+    """Distance matrices of points that include coincident and collinear ones.
+
+    The a-points are drawn from general points, lattice points on one line
+    (equal multiples coincide) and repeats of earlier points; the b-points
+    hold them all, shuffled, among general points, so a match exists when
+    some r of them span a simplex.
+    """
+    line = rng.uniform(-3.0, 3.0, 3)
+    pts = [rng.uniform(-3.0, 3.0, 3)]
+    for _ in range(int(rng.integers(r, 9)) - 1):
+        kind = rng.integers(3)
+        if kind == 0:
+            pts.append(rng.uniform(-3.0, 3.0, 3))
+        elif kind == 1:
+            pts.append(float(rng.integers(0, 3)) * line)
+        else:
+            pts.append(pts[int(rng.integers(len(pts)))])
+    pts_a = np.array(pts)
+    pts_b = np.vstack([pts_a, rng.uniform(-3.0, 3.0, (int(rng.integers(0, 6)), 3))])
+    return pairwise_squared_distances(pts_a), pairwise_squared_distances(rng.permutation(pts_b))
+
+
+@pytest.mark.parametrize("rank_tol", [1e-20, 1e-17, 1e-12, 1e-6, 1e-3, 0.3])
+def test_match_submatrices_equals_backtracking_on_coincident_and_collinear_points(rank_tol):
+    # Every prefix verdict is bordered_rank's: two coincident points border
+    # to a block of SVD rank 1 below a rank_tol of about 4e-17 (its third
+    # singular value is round-off, 5.6e-17 of 1.41) and of rank 0 above.
+    zeros = np.zeros((3, 3))
+    want = backtracking_match(zeros, zeros, 2, 1e-6, rank_tol)
+    assert match_submatrices(zeros, zeros, 2, 1e-6, rank_tol) == want
+    rng = np.random.default_rng(3001)
+    for _ in range(40):
+        for r in (2, 3, 4):
+            a, b = degenerate_instance(rng, r)
+            want = backtracking_match(a, b, r, 1e-6, rank_tol)
+            assert match_submatrices(a, b, r, 1e-6, rank_tol) == want
+
+
+def test_search_asks_bordered_rank_once_per_rank_check(monkeypatch):
+    # A noisy step of the box: one bordered_rank call per prefix the search
+    # tests, one- and two-row prefixes included, and none besides.
+    sigma = 1e-3
+    scn = box_scenario(noise_sigma=sigma, seed=3)
+    mics = MicArray(scn.mic_local)
+    registry = SourceRegistry()
+    assert locate_step(registry, mics, generate_echoes(scn, scn.path[0], 0), sigma).status == "success"
+    echoes = generate_echoes(scn, scn.path[1], 1)
+    points = mics.positions(echo_match(mics, echoes, noise_sigma=sigma).delta)
+    sizes = []
+    real = reconstruction.bordered_rank
+    monkeypatch.setattr(
+        reconstruction, "bordered_rank", lambda m, tol: sizes.append(len(m)) or real(m, tol)
+    )
+    stats = MatchStats()
+    d = pairwise_squared_distances(points)
+    found = match_submatrices(d, registry.distance_matrix(), 4, 1000.0 * sigma, 1e-3, stats)
+    assert found is not None
+    assert len(sizes) == stats.rank_checks
+    assert {1, 2, 3, 4} <= set(sizes)
+
+
 def test_match_submatrices_releases_its_arguments():
     # With the cyclic collector off, a reference cycle inside the search
     # would keep b alive after the call returns.
@@ -1222,6 +1284,27 @@ def test_echoes_whose_threshold_overflows_fail_without_a_warning(sigma):
         result = locate_step(registry, scn.mic_local, huge, sigma)
     assert (result.status, result.fail_reason) == ("fail", "coplanar_sources")
     assert len(registry) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="echo_match's threshold root_tol max(x)^3 outgrows the echo form's spread "
+    "over wrong combinations (about max(x)^2): at 1e8 every one of the 2,401 grid "
+    "columns is kept and the bootstrap registers them all",
+)
+def test_far_echoes_fail_the_bootstrap():
+    # The box's first emission with every squared distance times 1e8 (up to
+    # 8.5e9 m^2, about 92 km) has no consistent sources to register.
+    scn = box_scenario()
+    echoes = generate_echoes(scn, scn.path[0], 0)
+    far = EchoSet(tuple(tuple(1e8 * x for x in s) for s in echoes.d_sets))
+    outcomes = []
+    for sigma in (0.0, 1e-3):
+        registry = SourceRegistry()
+        result = locate_step(registry, scn.mic_local, far, sigma)
+        outcomes.append((result.status, len(registry)))
+    assert outcomes == [("fail", 0), ("fail", 0)]
 
 
 def test_a_located_noiseless_step_takes_no_svd(monkeypatch):
