@@ -78,7 +78,7 @@ def bordered_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     at 2 tol or above (_cm_ratio_sq), for tol >= 1e-12: the SVD would count
     every value too (geometry._certified_full_rank). Every other m, a
     rank-deficient block such as two coincident points included, takes the
-    SVD.
+    SVD, and one with a NaN or infinite entry raises ValueError.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -86,12 +86,10 @@ def bordered_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     k = m.shape[0]
     if 1 <= k <= 4 and _certified_full_rank(_cm_ratio_sq(m.tolist()), tol):
         return k - 1
-    out = np.empty((k + 1, k + 1))
-    out.fill(1.0)
-    out[0, 0] = 0.0
     scale = np.maximum.reduce(np.abs(m), None, initial=0.0)
-    np.divide(m, scale if scale > 0.0 else 1.0, out=out[1:, 1:])
-    return _numerical_rank(out, tol) - 2
+    if not scale < np.inf:
+        raise ValueError("bordered_rank expects finite entries")
+    return _numerical_rank(border(m / scale if scale > 0.0 else m), tol) - 2
 
 
 def _cm_ratio_sq(block: list) -> float:

@@ -33,6 +33,8 @@ def _cmd_run(args) -> int:
         overrides["seed"] = args.seed
     if overrides:
         scenario = scenario.with_overrides(**overrides)
+    if args.out:  # an unwritable path fails here, before any step runs
+        open(args.out, "a", encoding="utf-8").close()
     records, metrics = run(scenario)
     for r in records:
         if r.status == "success":

@@ -180,8 +180,9 @@ class MatchStats:
     comparisons counts matrix entries compared, m * n for each vectorized
     test of an (m, n) candidate mask: one test of the diagonals and one for
     each pair the search tries. rank_checks counts the search's
-    bordered_rank calls, one per distinct row prefix i_1..i_k that reached a
-    candidate column.
+    bordered_rank calls, one each time a row prefix i_1..i_k with a
+    candidate column is tested: a prefix reached under several choices of
+    earlier columns is tested once under each.
     """
 
     comparisons: int = 0
@@ -406,30 +407,27 @@ def match_submatrices(
     stats = MatchStats() if stats is None else stats
     mask = abs(a.diagonal()[:, None] - b.diagonal()) <= eq_tol
     stats.comparisons += mask.size
-    return _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, (), (), {})
+    return _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, (), ())
 
 
-def _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, ii, jj, rank_cache):
+def _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, ii, jj):
     """Least completion of the chosen pairs (ii, jj) to r pairs, or None.
 
     mask[i, j] holds when pairing a-row i with b-row j agrees within eq_tol
     on the diagonal and with every chosen pair, and j is not chosen yet. The
     next pair takes rows i > ii[-1] that leave enough rows for the remaining
-    pairs, each with its columns in increasing order. This is a module-level
-    function, not a nested closure, so no reference cycle keeps a and b alive
-    after the search returns.
+    pairs, each with its columns in increasing order, and row i only when
+    one bordered_rank call finds that ii + (i,) spans a full simplex. This
+    is a module-level function, not a nested closure, so no reference cycle
+    keeps a and b alive after the search returns.
     """
     k = len(ii)
     lo = ii[-1] + 1 if ii else 0
     rows = mask[lo : a.shape[0] - r + k + 1].any(axis=1).nonzero()[0] + lo
     for i in rows.tolist():
         sel = (*ii, i)
-        rank = rank_cache.get(sel)
-        if rank is None:
-            rank = bordered_rank(a.take(sel, 0).take(sel, 1), rank_tol)
-            rank_cache[sel] = rank
-            stats.rank_checks += 1
-        if rank != k:
+        stats.rank_checks += 1
+        if bordered_rank(a.take(sel, 0).take(sel, 1), rank_tol) != k:
             continue
         cols = mask[i].nonzero()[0].tolist()
         if k + 1 == r:
@@ -439,9 +437,7 @@ def _extend_match(a, b, r, eq_tol, rank_tol, stats, mask, ii, jj, rank_cache):
             narrowed = mask & (abs(a[:, i, None] - b[:, j]) <= eq_tol)
             narrowed[:, j] = False
             stats.comparisons += narrowed.size
-            found = _extend_match(
-                a, b, r, eq_tol, rank_tol, stats, narrowed, sel, (*jj, j), rank_cache
-            )
+            found = _extend_match(a, b, r, eq_tol, rank_tol, stats, narrowed, sel, (*jj, j))
             if found is not None:
                 return found
     return None

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    _EPS,
     _SAME_PLANE_TOL,
     Hyperplane,
     as_point,
@@ -28,7 +29,6 @@ DEFAULT_GENERICITY_TOL = 1e-9
 _GEOM_TOL = 1e-9
 _MAX_AUTOMORPHISM_POINTS = 10
 _PAIR_BUDGET = 2_000_000  # f pairs tested at once
-_EPS = np.finfo(float).eps
 
 
 class ConcurrentLinesError(ValueError):

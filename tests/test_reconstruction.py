@@ -1359,6 +1359,29 @@ def test_locate_step_fail_leaves_registry_bit_identical():
     assert registry.frame_frozen == snapshot.frame_frozen
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_foreign_emissions_fail_and_leave_the_registry_alone(sigma):
+    # After each step of the box run, the same pose's emission in another
+    # room (criterion 8's) is fed to the same registry: it FAILs no_match,
+    # and the registry keeps its sources, its count and its frame.
+    scn = box_scenario(noise_sigma=sigma, seed=9)
+    other = box_scenario(
+        walls=box_walls(9.0, 7.0, 4.0), speaker=[2.6, 3.9, 2.1], noise_sigma=sigma, seed=9
+    )
+    registry, reasons = SourceRegistry(), []
+    for idx, pose in enumerate(scn.path):
+        locate_step(registry, scn.mic_local, generate_echoes(scn, pose, idx), sigma)
+        if idx == 0:
+            continue
+        n, points, frozen = len(registry), registry.as_array().copy(), registry.frame_frozen
+        foreign = generate_echoes(other, other.path[idx], idx)
+        result = locate_step(registry, scn.mic_local, foreign, sigma)
+        reasons.append((result.status, result.fail_reason))
+        assert len(registry) == n and registry.frame_frozen == frozen
+        assert np.array_equal(registry.as_array(), points)
+    assert reasons == [("fail", "no_match")] * 9
+
+
 def test_locate_step_requires_noncoplanar_mics():
     flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
     with pytest.raises(ValueError):
@@ -1638,6 +1661,20 @@ def test_midplane_speaker_steps_fail_rather_than_return_a_reflection():
         assert r.position_error <= 1e-6 and r.orientation_error <= 1e-6
 
 
+def test_midplane_speaker_steps_fail_or_return_the_true_rotation():
+    # Whatever the search matches, a step that does not FAIL returns the true
+    # pose: a rotation (det A > 0), exact at sigma = 0.
+    from echopath import run
+
+    records, _ = run(box_scenario(speaker=[3.0, 2.3, 1.7]))
+    for r in records[1:]:
+        assert r.status in ("fail", "success")
+        if r.status == "success":
+            assert np.linalg.det(r.est_pose.A) > 0.0
+            assert np.abs(r.est_pose.v - r.true_pose.v).max() <= 1e-6
+            assert np.abs(r.est_pose.A - r.true_pose.A).max() <= 1e-6
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -1694,6 +1731,14 @@ def test_noiseless_run_is_exact_in_a_scaled_box(scale):
 def unit_dependent_bordered_rank(m, tol):
     """The rank of border(m) itself, whose verdict depends on the units of m."""
     return _numerical_rank(border(m), tol) - 2
+
+
+def test_noisy_step_in_a_10x_box_is_located():
+    from echopath import run
+
+    records, _ = run(scaled_box_scenario(10.0, 1e-3, 3, scale_mics=True))
+    assert records[0].status == "bootstrap"
+    assert records[1].status == "success" and records[1].position_error < 0.1
 
 
 def test_noisy_step_in_a_10x_box_matches_after_few_rank_checks(monkeypatch):
