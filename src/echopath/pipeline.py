@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -170,14 +171,15 @@ def _rotation_angle(r: np.ndarray) -> float:
     # atan2 of the angle's sine (from the skew part) and cosine (from the
     # trace): arccos of the trace alone turns a round-off deficit d in the
     # trace into an angle of about sqrt(d).
-    skew = r - r.T
-    sine = np.linalg.norm((skew[2, 1], skew[0, 2], skew[1, 0])) / 2.0
-    return float(np.arctan2(sine, (np.trace(r) - 1.0) / 2.0))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    sine = math.hypot(r21 - r12, r02 - r20, r10 - r01) / 2.0
+    return math.atan2(sine, (r00 + r11 + r22 - 1.0) / 2.0)
 
 
 def to_frozen_frame(bootstrap: Pose, pose: Pose) -> Pose:
     """Re-express a world pose in the vehicle frame of the bootstrap pose."""
-    return Pose(bootstrap.A.T @ (pose.v - bootstrap.v), bootstrap.A.T @ pose.A)
+    bt = bootstrap.A.T  # ndarray.dot: the same products as @, without the ufunc's dispatch
+    return Pose(bt.dot(pose.v - bootstrap.v), bt.dot(pose.A))
 
 
 def run(scenario: Scenario):
@@ -217,7 +219,7 @@ def run(scenario: Scenario):
                     "success",
                     est_pose=result.pose,
                     true_pose=truth,
-                    position_error=float(np.linalg.norm(result.pose.v - truth.v)),
+                    position_error=math.dist(result.pose.v.tolist(), truth.v.tolist()),
                     orientation_error=_rotation_angle(result.pose.A.T @ truth.A),
                     n_sources_known=n_known,
                     n_sources_new=n_new,

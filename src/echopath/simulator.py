@@ -30,8 +30,6 @@ from .geometry import (
 
 ORTHOGONALITY_TOL = 1e-9
 _MIC_SOURCE_EPS = 1e-9
-_IDENTITY = np.eye(3)  # A^T A - I is an orientation's orthogonality defect
-_IDENTITY.flags.writeable = False
 
 
 def rotation_from_yaw_pitch_roll(yaw: float, pitch: float, roll: float) -> np.ndarray:
@@ -78,12 +76,22 @@ class Pose:
         a = np.asarray(A, dtype=float)
         if a.shape != (3, 3):
             raise ValueError(f"orientation matrix must be 3x3, got {a.shape}")
-        if not np.isfinite(a).all():
+        # On Python floats: NumPy's per-call cost exceeds this 3x3 arithmetic.
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows = a.tolist()
+        if not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
             raise ValueError("orientation matrix must be finite")
-        defect = abs(a.T @ a - _IDENTITY).max()
+        # The six distinct entries of A^T A - I, as dot products of A's columns.
+        defect = max(
+            abs(a0 * a0 + b0 * b0 + c0 * c0 - 1.0),
+            abs(a1 * a1 + b1 * b1 + c1 * c1 - 1.0),
+            abs(a2 * a2 + b2 * b2 + c2 * c2 - 1.0),
+            abs(a0 * a1 + b0 * b1 + c0 * c1),
+            abs(a0 * a2 + b0 * b2 + c0 * c2),
+            abs(a1 * a2 + b1 * b2 + c1 * c2),
+        )
         if not defect <= ortho_tol:  # a NaN tolerance fails too
             raise ValueError(f"orientation matrix is not orthogonal (defect {defect:.2e})")
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a.tolist()  # det A, the rows' triple product
+        # det A, the rows' triple product.
         det = a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
         if det <= 0.0:
             raise ValueError(f"orientation matrix is a reflection (det {det:.2e})")
@@ -184,6 +192,8 @@ class Scenario:
         object.__setattr__(self, "path", path)
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise ValueError("noise_sigma must be nonnegative and finite")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -291,13 +301,16 @@ def generate_echoes(s: Scenario, p: Pose, pose_index: int = 0) -> EchoSet:
     made before the audibility mask, so no echo's noise depends on another's.
     """
     sources, mics, audible = _emission(s, p)
-    dists = np.linalg.norm(sources[:, None, :] - mics[None, :, :], axis=2)
+    d = sources[:, None, :] - mics[None, :, :]
+    dists = np.sqrt(np.add.reduce(d * d, axis=2))  # np.linalg.norm's formula, unwrapped
     if dists.min() < _MIC_SOURCE_EPS:
         raise DegenerateGeometryError("a microphone coincides with a sound source")
     if s.noise_sigma > 0.0:
         z = np.random.default_rng((s.seed, pose_index)).standard_normal(dists.shape)
         dists = dists + z * s.noise_sigma
     squared = dists * dists
+    if audible.all():  # no boolean gather per microphone
+        return EchoSet(tuple(squared.T))
     return EchoSet(tuple(squared[audible[:, k], k] for k in range(4)))
 
 
@@ -318,9 +331,16 @@ def ambiguity_pair(
 
 
 def echo_set_difference(a: EchoSet, b: EchoSet) -> float:
-    """Largest per-microphone Hausdorff distance between travel distances (m)."""
+    """Largest per-microphone Hausdorff distance between travel distances (m).
+
+    Two empty sets are 0 apart; an empty and a nonempty set are inf apart.
+    """
     worst = 0.0
     for da, db in zip(a.d_sets, b.d_sets):
+        if not (da and db):
+            if da or db:
+                return math.inf
+            continue
         ra = np.sqrt(np.asarray(da))
         rb = np.sqrt(np.asarray(db))
         forward = np.max([np.min(np.abs(rb - x)) for x in ra])

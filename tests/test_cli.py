@@ -256,6 +256,29 @@ def test_rotation_angle_of_known_rotations(angle):
         assert _rotation_angle(r.T) == pytest.approx(angle, abs=1e-12)
 
 
+def numpy_rotation_angle(r):
+    """_rotation_angle in NumPy: the reference of its float arithmetic."""
+    skew = r - r.T
+    sine = np.linalg.norm((skew[2, 1], skew[0, 2], skew[1, 0])) / 2.0
+    return float(np.arctan2(sine, (np.trace(r) - 1.0) / 2.0))
+
+
+def test_frame_algebra_equals_the_matmul_forms():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        a, b = (
+            Pose(rng.uniform(-5.0, 5.0, size=3), rotation_from_yaw_pitch_roll(*rng.normal(size=3)))
+            for _ in range(2)
+        )
+        frozen = to_frozen_frame(a, b)
+        # 1e-15 per metre of the offset: a few ulps of its dot products.
+        offset = b.v - a.v
+        assert np.max(np.abs(frozen.v - a.A.T @ offset)) <= 1e-15 * np.abs(offset).max()
+        assert np.max(np.abs(frozen.A - a.A.T @ b.A)) <= 1e-15
+        for r in (a.A.T @ b.A, a.A, a.A @ a.A.T):
+            assert abs(_rotation_angle(r) - numpy_rotation_angle(r)) <= 1e-15
+
+
 def test_first_pose_deficient_bootstraps_later():
     patch = Wall(
         Hyperplane([0, 0, 1], 0.0),

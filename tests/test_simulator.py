@@ -126,12 +126,32 @@ def per_pose_echoes(s, p, pose_index):
     return EchoSet(tuple(tuple(squared[audible[:, k], k]) for k in range(4)))
 
 
-@pytest.mark.parametrize("sigma", [0.0, 1e-3])
-def test_fixed_speaker_echoes_equal_the_per_pose_image_sources(sigma):
-    scn = box_scenario(noise_sigma=sigma, seed=4)
+def occluded_box_walls() -> tuple:
+    """The box with walls 1 and 4 cut to patches, so occlusion drops some echoes."""
+    walls = list(box_walls(6.0, 5.0, 3.0))
+    walls[1] = Wall(walls[1].plane, [[6, 0, 0], [6, 2.5, 0], [6, 2.5, 3], [6, 0, 3]])
+    walls[4] = Wall(walls[4].plane, [[0, 0, 0], [3, 0, 0], [3, 5, 0], [0, 5, 0]])
+    return tuple(walls)
+
+
+@pytest.mark.parametrize(
+    "sigma, occluded",
+    [
+        pytest.param(0.0, False, id="0.0"),
+        pytest.param(1e-3, False, id="0.001"),
+        pytest.param(1e-3, True, id="occluded-0.001"),
+    ],
+)
+def test_fixed_speaker_echoes_equal_the_per_pose_image_sources(sigma, occluded):
+    walls = occluded_box_walls() if occluded else box_walls(6.0, 5.0, 3.0)
+    scn = box_scenario(walls=walls, occlusion_enabled=occluded, noise_sigma=sigma, seed=4)
     assert "_fixed_image_sources" not in vars(scn)  # set-up does not build them
+    sizes = set()
     for idx, pose in enumerate(scn.path):
-        assert generate_echoes(scn, pose, idx).d_sets == per_pose_echoes(scn, pose, idx).d_sets
+        echoes = generate_echoes(scn, pose, idx)
+        assert echoes.d_sets == per_pose_echoes(scn, pose, idx).d_sets
+        sizes.update(map(len, echoes.d_sets))
+    assert (min(sizes) < 7) == occluded  # the masked path ran exactly when walls are cut
     kept = vars(scn)["_fixed_image_sources"]
     assert np.array_equal(kept, image_sources(scn.walls, scn.speaker))
     assert not kept.flags.writeable
@@ -201,10 +221,7 @@ def test_one_keyed_generator_per_noisy_emission(monkeypatch, sigma):
 def test_occlusion_leaves_the_noise_of_audible_echoes_unchanged():
     # Noise is drawn for every (source, microphone) pair before the audibility
     # mask, so dropping occluded echoes does not move the draws of the rest.
-    walls = list(box_walls(6.0, 5.0, 3.0))
-    walls[1] = Wall(walls[1].plane, [[6, 0, 0], [6, 2.5, 0], [6, 2.5, 3], [6, 0, 3]])
-    walls[4] = Wall(walls[4].plane, [[0, 0, 0], [3, 0, 0], [3, 5, 0], [0, 5, 0]])
-    scn = box_scenario(walls=tuple(walls), noise_sigma=1e-3, seed=5)
+    scn = box_scenario(walls=occluded_box_walls(), noise_sigma=1e-3, seed=5)
     dropped = 0
     for idx, pose in enumerate(scn.path):
         heard = generate_echoes(scn.with_overrides(occlusion_enabled=True), pose, idx)
@@ -313,6 +330,18 @@ def test_ambiguity_pair_fixed_speaker_differs():
     assert echo_set_difference(ea, eb) > 0.1
 
 
+def test_echo_set_difference_of_empty_microphone_sets():
+    one_empty = EchoSet(((1.0,), (2.0,), (), (3.0,)))
+    assert echo_set_difference(one_empty, one_empty) == 0.0
+    two_empty = EchoSet(((1.0,), (), (), (4.0,)))
+    assert echo_set_difference(two_empty, two_empty) == 0.0
+    assert echo_set_difference(two_empty, EchoSet(((1.0,), (), (), (9.0,)))) == 1.0
+    full = EchoSet(((1.0,), (2.0,), (4.0,), (3.0,)))
+    assert echo_set_difference(one_empty, full) == np.inf
+    assert echo_set_difference(full, one_empty) == np.inf
+    assert echo_set_difference(two_empty, one_empty) == np.inf
+
+
 def test_ambiguity_pair_square_room_quarter_turn():
     walls = (
         Wall(Hyperplane([1, 0, 0], 0.0)),
@@ -395,6 +424,45 @@ def test_pose_rejects_a_nan_tolerance():
             Pose([0, 0, 0], a, ortho_tol=float("nan"))
 
 
+def numpy_pose_verdict(a, tol):
+    """Pose's orientation check in NumPy: the reference of its float arithmetic."""
+    if not np.isfinite(a).all():
+        return "finite"
+    if not abs(a.T @ a - np.eye(3)).max() <= tol:
+        return "orthogonal"
+    if not np.linalg.det(a) > 0.0:
+        return "reflection"
+    return None
+
+
+def pose_verdict(a, tol):
+    try:
+        Pose([0.0, 0.0, 0.0], a, ortho_tol=tol)
+    except ValueError as exc:
+        return next(w for w in ("finite", "orthogonal", "reflection") if w in str(exc))
+    return None
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 0.25])
+def test_pose_check_on_floats_equals_the_numpy_check(tol):
+    rng = np.random.default_rng(11)
+    mirror = np.diag([1.0, 1.0, -1.0])
+    verdicts = []
+    for _ in range(400):
+        r = random_rotation(rng)
+        # Perturbations from a tenth to ten times the tolerance, so the defect
+        # falls on both sides of it.
+        noise = rng.normal(size=(3, 3)) * tol * 10.0 ** rng.uniform(-1.0, 1.0)
+        for a in (r, r + noise, r @ mirror, r @ mirror + noise, -r):
+            assert pose_verdict(a, tol) == numpy_pose_verdict(a, tol)
+            verdicts.append(numpy_pose_verdict(a, tol))
+        for bad in (np.nan, np.inf, -np.inf):
+            a = r.copy()
+            a[rng.integers(3), rng.integers(3)] = bad
+            assert pose_verdict(a, tol) == numpy_pose_verdict(a, tol) == "finite"
+    assert {None, "orthogonal", "reflection"} <= set(verdicts)
+
+
 def test_pose_is_a_frozen_value_with_one_array_of_its_own():
     v, a = np.array([1.0, 2.0, 3.0]), rotation_from_yaw_pitch_roll(0.3, -0.2, 0.9)
     pose = Pose(v, a, ortho_tol=1e-6)
@@ -429,6 +497,16 @@ def test_scenario_validation():
         )
     with pytest.raises(ValueError, match="offset required"):
         Scenario(walls=box_walls(6, 5, 3), speaker=None, speaker_on_vehicle=True)
+    for seed in (1.5, 2.0, "3", None, True, False, np.float64(4.0), np.bool_(True)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            box_scenario(noise_sigma=1e-3).with_overrides(seed=seed)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        box_scenario(seed=-1)
+    for seed in (0, 7, np.int64(7), np.uint8(7)):
+        scn = box_scenario(noise_sigma=1e-3, seed=seed)
+        assert generate_echoes(scn, scn.path[1], 1) == generate_echoes(
+            box_scenario(noise_sigma=1e-3, seed=int(seed)), scn.path[1], 1
+        )
 
 
 def test_two_dimensional_scenario_without_microphones():
