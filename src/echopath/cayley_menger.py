@@ -78,7 +78,8 @@ def bordered_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     at 2 tol or above (_cm_ratio_sq), for tol >= 1e-12: the SVD would count
     every value too (geometry._certified_full_rank). Every other m, a
     rank-deficient block such as two coincident points included, takes the
-    SVD, and one with a NaN or infinite entry raises ValueError.
+    SVD, and one with a NaN or infinite entry, like a negative or
+    non-finite tol, raises ValueError.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -6,6 +6,8 @@ function of its inputs; the value types are frozen dataclasses.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +33,11 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
     return p
 
 
+def _is_real(x) -> bool:
+    """True for a Python or NumPy real number; a bool is not one here."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class Hyperplane:
     """Affine hyperplane {x : <normal, x> = offset} with a unit normal.
@@ -47,7 +54,9 @@ class Hyperplane:
         norm = float(np.linalg.norm(n))
         if norm == 0.0 or not np.isfinite(norm):
             raise ValueError("hyperplane normal must be nonzero and finite")
-        if not np.isfinite(float(self.offset)):
+        if not _is_real(self.offset):
+            raise ValueError(f"hyperplane offset must be a real number, got {self.offset!r}")
+        if not math.isfinite(self.offset):
             raise ValueError("hyperplane offset must be finite")
         object.__setattr__(self, "normal", n / norm)
         object.__setattr__(self, "offset", float(self.offset) / norm)
@@ -167,7 +176,16 @@ def mirror_point(w: Wall, speaker) -> np.ndarray:
 
 
 def _numerical_rank(m: np.ndarray, tol: float) -> int:
-    """Number of singular values of m above tol * sigma_max (0 for an empty or zero m)."""
+    """Number of singular values of m above tol * sigma_max (0 for an empty or zero m).
+
+    A negative or non-finite tol, or a NaN or infinite entry of m, raises
+    ValueError; unchecked, a negative tol counts every value, an infinite
+    one none, and a NaN entry fails in the SVD.
+    """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"rank tolerance must be nonnegative and finite, got {tol}")
+    if not np.isfinite(m).all():
+        raise ValueError("rank needs finite entries")
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -241,7 +259,8 @@ def affine_dimension(points, tol: float = DEFAULT_RANK_TOL) -> int:
     sigma_3 / sigma_1 at 2 tol or above (_gram_ratio_sq) span the space
     without an SVD, for tol >= 1e-12; the SVD would count all three values
     (_certified_full_rank). Every other set, a flat one included, takes the
-    SVD.
+    SVD. A NaN or infinite coordinate, or a negative or non-finite tol,
+    raises ValueError.
     """
     pts = np.array(points, dtype=float, copy=None, ndmin=2)
     if pts.shape[0] < 1:
@@ -253,7 +272,10 @@ def affine_dimension(points, tol: float = DEFAULT_RANK_TOL) -> int:
 
 
 def linearly_independent_hyperplanes(hs, tol: float = DEFAULT_RANK_TOL) -> bool:
-    """True if the hyperplanes' normal vectors are linearly independent."""
+    """True if the hyperplanes' normal vectors are linearly independent.
+
+    A negative or non-finite tol raises ValueError.
+    """
     if len(hs) == 0:
         raise ValueError("need at least one hyperplane")
     return _numerical_rank(np.stack([h.normal for h in hs]), tol) == len(hs)

@@ -22,6 +22,7 @@ from .geometry import (
     DegenerateGeometryError,
     Hyperplane,
     Wall,
+    _is_real,
     as_point,
     mirror_point,
     plane_basis,
@@ -166,6 +167,11 @@ class Scenario:
     def __post_init__(self):
         if self.dimension not in (2, 3):
             raise ValueError("dimension must be 2 or 3")
+        for name in ("occlusion_enabled", "speaker_on_vehicle"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
         walls = tuple(self.walls)
         if not walls:
             raise ValueError("scenario needs at least one wall")
@@ -190,8 +196,11 @@ class Scenario:
         if path and self.dimension != 3:
             raise ValueError("a pose path requires a 3-d scenario")
         object.__setattr__(self, "path", path)
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+        if not _is_real(self.noise_sigma):
+            raise ValueError(f"noise_sigma must be a real number, got {self.noise_sigma!r}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise ValueError("noise_sigma must be nonnegative and finite")
+        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:

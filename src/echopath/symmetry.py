@@ -12,6 +12,7 @@ sets by brute force.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,10 +152,8 @@ def genericity_check(
     Evaluates every factor of the symmetry-breaking polynomial at v and
     passes only if all of them stay above tol * scale^2, where scale is the
     largest distance from v to one of its reflections. The reported factor is
-    the first vanishing one in scan order (g factors, then h, then f). In
-    3-d a complete screen on unordered wall triples runs first; the ordered
-    f scan runs, and makes the report, only when the screen finds a
-    candidate.
+    the first vanishing one in scan order (g factors, then h, then f); in
+    3-d the f factors are decided on unordered wall sets (_check_f_triples).
 
     In dimension 2 the guarantee requires that no three lines meet in one
     point; such arrangements are rejected unless allow_concurrent is set, in
@@ -197,9 +196,7 @@ def genericity_check(
         i, j = (int(x) for x in bad[0])
         return GenericityReport(False, FactorRef("h", (i, j), float(h_vals[i, j])))
 
-    if a.dimension >= 3:
-        if not _f_triples_may_vanish(a.normals, pair_sq, threshold):
-            return GenericityReport(True, None)
+    if a.dimension == 3:
         return _check_f_triples(a.normals, pair_sq, threshold)
     return _check_f_pairs(a.normals, pair_sq, threshold)
 
@@ -241,22 +238,22 @@ def _first_near_duplicate(keys: np.ndarray, rows: np.ndarray, threshold: float):
     return None
 
 
-def _f_triples_may_vanish(normals: np.ndarray, pair_sq: np.ndarray, threshold: float) -> bool:
-    """False only if _check_f_triples passes: a cheap, complete screen on wall sets.
+def _check_f_triples(normals, pair_sq: np.ndarray, threshold: float) -> GenericityReport:
+    """3-d f factors, decided on wall sets.
 
-    The key of an ordered triple is a permutation of the mirror-pair
-    distances (d_ij, d_il, d_jl) of its walls {i, j, l}; (i, i, j) in any
-    order gives (0, d_ij, d_ij) and (i, i, i) gives (0, 0, 0). So the
-    screen works on the C(W, 3) unordered triples with sorted keys:
-    - two orderings of one triple differ by a non-identity permutation of
-      their key, which moves at least two entries: their factor is at
-      least 2 g^2, g the least gap of the sorted key;
-    - for two different wall sets, pairing sorted with sorted gives the
-      least sum of squared differences over all orderings (rearrangement
-      inequality), so a hit needs the sorted keys within the threshold.
-    Rows are the independent triples. The margin below _GEOM_TOL is far
-    above round-off, so every ordering of an independent ordered triple is
-    a row here, and the threshold is padded for rounding.
+    The key of an ordered wall triple (i, j, l) is (d_ij, d_il, d_jl); the
+    factor of two triples is the sum of the squared differences of their
+    keys, and its square root is held to the g and h threshold. Reordering
+    a triple permutes its key, so the check works on wall sets with sorted
+    keys: two orderings of one set have least factor 2 g^2, g the least gap
+    of the sorted key, and for two different sets pairing sorted with sorted
+    gives the least factor over all their orderings (rearrangement
+    inequality). Rows are the sets with independent normals; columns are
+    every set and each wall pair as (i, i, j), key (0, d_ij, d_ij). (i, i, i)
+    needs no column: a key within the threshold of (0, 0, 0) has sqrt(2) g
+    below it. A failure names two sets in increasing wall order and their
+    least factor: the row with the least gap twice if that fails, else the
+    first hit in row-major order.
     """
     k = len(normals)
     upper = np.arange(k)[:, None] < np.arange(k)  # wall pairs i < j
@@ -264,35 +261,26 @@ def _f_triples_may_vanish(normals: np.ndarray, pair_sq: np.ndarray, threshold: f
     n1, n2 = normals[:, [1, 2, 0]], normals[:, [2, 0, 1]]
     cross = n1[:, None] * n2 - n2[:, None] * n1  # cross[j, l] = n_j x n_l
     volume = np.einsum("ij,ij->i", normals[i], cross[j, l])
-    rows = np.flatnonzero(np.abs(volume) > _GEOM_TOL - 1e-12)
+    rows = np.flatnonzero(np.abs(volume) > _GEOM_TOL)
     if rows.size == 0:
-        return False
-    # Columns: every wall set, then (0, d, d) per wall pair, then (0, 0, 0).
-    keys = np.zeros((i.size + k * (k - 1) // 2 + 1, 3))
-    keys[: i.size] = np.sort(np.column_stack([pair_sq[i, j], pair_sq[i, l], pair_sq[j, l]]))
-    keys[i.size : -1, 1] = keys[i.size : -1, 2] = pair_sq[upper]
-    pad = threshold * (1.0 + 1e-9) + 64.0 * _EPS * float(pair_sq.max()) + 1e-150
-    if np.diff(keys[rows]).min() <= pad / np.sqrt(2.0):
-        return True
-    return _first_near_duplicate(keys, rows, pad) is not None
-
-
-def _check_f_triples(normals, pair_sq: np.ndarray, threshold: float) -> GenericityReport:
-    # The mirror-pair distances of each ordered triple with independent normals
-    # must differ from those of every other ordered triple. The factor is the
-    # sum of three squared differences; its square root is held to the g and h
-    # threshold. Triples are in lexicographic order; a repeated index gives
-    # determinant zero, so no row.
-    k = len(normals)
-    triples = np.indices((k, k, k)).reshape(3, -1).T
-    rows = np.flatnonzero(np.abs(np.linalg.det(normals[triples])) > _GEOM_TOL)
-    keys = pair_sq[triples[:, [0, 0, 1]], triples[:, [1, 2, 2]]]  # (01, 02, 12) distances
-    hit = _first_near_duplicate(keys, rows, threshold)
-    if hit is None:
         return GenericityReport(True, None)
-    row, col = hit
-    planes = (tuple(int(x) for x in triples[row]), tuple(int(x) for x in triples[col]))
-    value = float(np.sum((keys[row] - keys[col]) ** 2))
+    keys = np.zeros((i.size + k * (k - 1) // 2, 3))
+    keys[: i.size] = np.sort(np.column_stack([pair_sq[i, j], pair_sq[i, l], pair_sq[j, l]]))
+    keys[i.size :, 1] = keys[i.size :, 2] = pair_sq[upper]
+    gaps = np.diff(keys[rows])  # two per row
+    least = int(gaps.argmin())
+    g = float(gaps.flat[least])
+    value = 2.0 * g * g  # the swap's factor, bit for bit as the sum of its terms
+    if math.sqrt(value) <= threshold:
+        row = col = rows[least // 2]
+    else:
+        hit = _first_near_duplicate(keys, rows, threshold)
+        if hit is None:
+            return GenericityReport(True, None)
+        row, col = hit
+        value = float(np.sum((keys[row] - keys[col]) ** 2))
+    sets = np.vstack([np.column_stack([i, j, l]), np.argwhere(upper)[:, [0, 0, 1]]])
+    planes = (tuple(int(x) for x in sets[row]), tuple(int(x) for x in sets[col]))
     return GenericityReport(False, FactorRef("f", planes, value))
 
 

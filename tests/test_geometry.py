@@ -70,6 +70,18 @@ def test_hyperplane_rejects_non_finite_offset(offset):
         Hyperplane([0.0, 0.0, 1.0], offset)
 
 
+@pytest.mark.parametrize("offset", ["3", None, True, np.bool_(False), [1.0], 1j])
+def test_hyperplane_rejects_an_offset_that_is_no_real_number(offset):
+    with pytest.raises(ValueError, match="offset must be a real number"):
+        Hyperplane([0.0, 0.0, 1.0], offset)
+
+
+@pytest.mark.parametrize("offset", [3, 3.0, np.int64(3), np.float32(3.0), np.float64(3.0)])
+def test_hyperplane_accepts_python_and_numpy_reals(offset):
+    h = Hyperplane([0.0, 0.0, 2.0], offset)
+    assert type(h.offset) is float and h.offset == 1.5
+
+
 def test_mirror_point_matches_direct_reflection():
     wall = Wall(Hyperplane([1, 0], 0.0))
     assert np.allclose(mirror_point(wall, [6.0, 7.0]), [-6.0, 7.0])
@@ -189,11 +201,18 @@ def test_rank_tolerances_below_1e_12_take_the_svd(monkeypatch):
             module, "_numerical_rank", lambda m, tol: svd_calls.append(m) or _numerical_rank(m, tol)
         )
     tetra = np.vstack([np.zeros(3), np.eye(3)])
-    for tol, svd_count in ((1e-12, 0), (1e-13, 2), (-1.0, 2)):
+    for tol, svd_count in ((1e-12, 0), (1e-13, 2)):
         svd_calls.clear()
         assert affine_dimension(tetra, tol) == 3
         assert bordered_rank(pairwise_squared_distances(tetra), tol) == 3
         assert len(svd_calls) == svd_count
+    # A negative tolerance certifies nothing either; the helper refuses it.
+    svd_calls.clear()
+    with pytest.raises(ValueError, match="rank tolerance"):
+        affine_dimension(tetra, -1.0)
+    with pytest.raises(ValueError, match="rank tolerance"):
+        bordered_rank(pairwise_squared_distances(tetra), -1.0)
+    assert len(svd_calls) == 2
 
 
 def test_affine_dimension_vs_bordered_rank_exact_integer_sets():
@@ -222,6 +241,46 @@ def test_linearly_independent_hyperplanes():
     assert linearly_independent_hyperplanes(axes)
     parallel = [Hyperplane([1, 0, 0], 0.0), Hyperplane([1, 0, 0], 5.0)]
     assert not linearly_independent_hyperplanes(parallel)
+
+
+# Four coplanar points: the certificate never holds for them, so every
+# tolerance reaches the rank helper.
+SQUARE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+AXES = [Hyperplane(n, 0.0) for n in np.eye(3)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+def test_rank_functions_reject_bad_tolerances(tol):
+    with pytest.raises(ValueError, match="rank tolerance must be nonnegative and finite"):
+        bordered_rank(pairwise_squared_distances(SQUARE), tol)
+    with pytest.raises(ValueError, match="rank tolerance must be nonnegative and finite"):
+        affine_dimension(SQUARE, tol)
+    with pytest.raises(ValueError, match="rank tolerance must be nonnegative and finite"):
+        linearly_independent_hyperplanes(AXES, tol)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rank_functions_accept_a_zero_tolerance():
+    # A zero tolerance counts every nonzero singular value, round-off included.
+    d = pairwise_squared_distances(SQUARE)
+    assert bordered_rank(d, 0.0) in (2, 3) and affine_dimension(SQUARE, 0.0) == 2
+    assert linearly_independent_hyperplanes(AXES, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 2])
+def test_affine_dimension_rejects_non_finite_points(bad, row):
+    # Before, an infinite coordinate gave dimension 0 and a NaN one made the
+    # SVD fail to converge.
+    pts = SQUARE.copy()
+    pts[row, 1] = bad
+    for tol in (1e-6, 1e-13):
+        with pytest.raises(ValueError, match="finite"):
+            affine_dimension(pts, tol)
+        with pytest.raises(ValueError, match="finite"):
+            affine_dimension(pts[:3, :2], tol)
 
 
 def test_three_concurrent_lines_are_dependent():

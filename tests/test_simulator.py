@@ -507,6 +507,19 @@ def test_scenario_validation():
         assert generate_echoes(scn, scn.path[1], 1) == generate_echoes(
             box_scenario(noise_sigma=1e-3, seed=int(seed)), scn.path[1], 1
         )
+    # The scalar types load_scenario accepts from a file, and no others.
+    for sigma in (True, False, np.bool_(True), "1e-3", None, [1e-3], 1e-3j):
+        with pytest.raises(ValueError, match="noise_sigma must be a real number"):
+            box_scenario().with_overrides(noise_sigma=sigma)
+    for sigma in (0, 1e-3, np.float32(1e-3), np.float64(1e-3), np.int64(0)):
+        assert box_scenario(noise_sigma=sigma).noise_sigma == float(sigma)
+    for name in ("occlusion_enabled", "speaker_on_vehicle"):
+        for flag in ("false", "", None, 0, 1, 1.0, np.int64(0)):
+            with pytest.raises(ValueError, match=f"{name} must be a bool"):
+                box_scenario().with_overrides(**{name: flag})
+    for flag in (False, True, np.bool_(False), np.bool_(True)):
+        scn = box_scenario(occlusion_enabled=flag, speaker_on_vehicle=flag)
+        assert scn.occlusion_enabled is scn.speaker_on_vehicle is bool(flag)
 
 
 def test_two_dimensional_scenario_without_microphones():

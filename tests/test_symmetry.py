@@ -8,7 +8,6 @@ from conftest import box_walls, chunked_check_f_triples, random_rotation
 from echopath import (
     Arrangement,
     ConcurrentLinesError,
-    GenericityReport,
     Hyperplane,
     dihedral_counterexample,
     distance_automorphisms,
@@ -19,7 +18,7 @@ from echopath import (
     reflect_point,
 )
 from echopath import symmetry
-from echopath.symmetry import _check_f_pairs, _check_f_triples, _f_triples_may_vanish
+from echopath.symmetry import _check_f_pairs, _check_f_triples
 
 X0 = Hyperplane([1, 0], 0.0)
 X16 = Hyperplane([1, 0], 16.0)
@@ -378,6 +377,72 @@ def loop_check_f_triples(hs, pair_sq, threshold):
     return None
 
 
+def ordered_key(pair_sq, t):
+    return np.array([pair_sq[t[0], t[1]], pair_sq[t[0], t[2]], pair_sq[t[1], t[2]]])
+
+
+def least_ordered_factor(pair_sq, first, second):
+    """Reference: the least f factor between distinct orderings of two wall sets."""
+    return min(
+        float(np.sum((ordered_key(pair_sq, a) - ordered_key(pair_sq, b)) ** 2))
+        for a in set(itertools.permutations(first))
+        for b in set(itertools.permutations(second))
+        if a != b
+    )
+
+
+def f_triples_passed(hs, pair_sq, threshold):
+    """_check_f_triples' verdict, once its report (if any) is checked.
+
+    A report names two wall sets in increasing wall order, the first with
+    independent normals, and their least factor over all orderings: the
+    sum of squared differences of their sorted keys, or 2 g^2 when one set
+    is named twice, g the least gap of its sorted key. Its square root is
+    within the threshold.
+    """
+    normals = normals_of(hs)
+    report = _check_f_triples(normals, pair_sq, threshold)
+    if report.passed:
+        return True
+    f = report.failed_factor
+    first, second = f.planes
+    assert f.kind == "f" and list(first) == sorted(first) and list(second) == sorted(second)
+    assert abs(np.linalg.det(normals[list(first)])) > 1e-9
+    key = np.sort(ordered_key(pair_sq, first))
+    g = np.diff(key).min()
+    diff = key - np.sort(ordered_key(pair_sq, second))
+    assert f.value == (2.0 * g * g if first == second else np.sum(diff**2))
+    assert f.value == pytest.approx(least_ordered_factor(pair_sq, first, second), rel=1e-12)
+    assert np.sqrt(f.value) <= threshold
+    return False
+
+
+def with_edges(thresholds, first_factor):
+    """The thresholds, then for each one that fails the reference, the edge
+    sqrt(f) of its first failing factor f and the float just below it."""
+    out = list(thresholds)
+    for threshold in thresholds:
+        f = first_factor(threshold)
+        if f is not None:
+            edge = float(np.sqrt(f))
+            out += [edge, float(np.nextafter(edge, 0.0))]
+    return out
+
+
+def mirror_pair_sq(hs, v):
+    return pairwise_squared_distances(np.stack([reflect_point(h, v) for h in hs]))
+
+
+def chunked_factor(hs, pair_sq):
+    """The first failing factor of chunked_check_f_triples at a threshold, or None."""
+
+    def first_factor(threshold):
+        report = chunked_check_f_triples(hs, pair_sq, threshold)
+        return None if report.passed else report.failed_factor.value
+
+    return first_factor
+
+
 def test_check_f_triples_matches_loop_reference_on_random_arrangements():
     rng = np.random.default_rng(12)
     for _ in range(12):
@@ -387,30 +452,18 @@ def test_check_f_triples_matches_loop_reference_on_random_arrangements():
         hs = [Hyperplane(nv / np.linalg.norm(nv), rng.uniform(-3, 3)) for nv in normals]
         v = rng.uniform(-1, 1, 3)
         pair_sq = pairwise_squared_distances(np.stack([reflect_point(h, v) for h in hs]))
-        # Thresholds from none to many hits exercise the scan order.
+        # Thresholds from none to many hits, and each first hit's edge.
         vec = pair_sq[np.triu_indices(k, 1)]
         gaps = np.abs(vec[:, None] - vec[None, :])
-        for threshold in (0.0, *np.quantile(gaps[gaps > 0], [0.01, 0.2, 0.9])):
-            report = _check_f_triples(normals_of(hs), pair_sq, threshold)
+        thresholds = (0.0, *np.quantile(gaps[gaps > 0], [0.01, 0.2, 0.9]))
+
+        def loop_factor(threshold):
             expected = loop_check_f_triples(hs, pair_sq, threshold)
-            if expected is None:
-                assert report.passed
-            else:
-                assert report.failed_factor.kind == "f"
-                assert report.failed_factor.planes == expected[0]
-                assert report.failed_factor.value == pytest.approx(expected[1], rel=1e-12)
+            return None if expected is None else expected[1]
 
-
-def f_report_fields(report):
-    """Kind, planes and the bits of the value, for an exact comparison."""
-    if report.passed:
-        return None
-    f = report.failed_factor
-    return f.kind, f.planes, float(f.value).hex()
-
-
-def mirror_pair_sq(hs, v):
-    return pairwise_squared_distances(np.stack([reflect_point(h, v) for h in hs]))
+        for threshold in with_edges(thresholds, loop_factor):
+            expected = loop_check_f_triples(hs, pair_sq, threshold)
+            assert f_triples_passed(hs, pair_sq, threshold) == (expected is None)
 
 
 @pytest.mark.parametrize("k", [3, 5, 8, 11, 14])
@@ -423,12 +476,11 @@ def test_check_f_triples_equals_chunked_scan_on_random_arrangements(k):
         pair_sq = mirror_pair_sq(hs, rng.uniform(-1, 1, 3))
         vec = pair_sq[np.triu_indices(k, 1)]
         gaps = np.abs(vec[:, None] - vec[None, :])
-        # Thresholds from none to many hits exercise the scan order.
-        for threshold in (0.0, *np.quantile(gaps[gaps > 0], [0.001, 0.05, 0.5])):
-            report = _check_f_triples(normals_of(hs), pair_sq, threshold)
-            assert f_report_fields(report) == f_report_fields(
-                chunked_check_f_triples(hs, pair_sq, threshold)
-            )
+        # Thresholds from none to many hits, and each first hit's edge.
+        thresholds = (0.0, *np.quantile(gaps[gaps > 0], [0.001, 0.05, 0.5]))
+        for threshold in with_edges(thresholds, chunked_factor(hs, pair_sq)):
+            expected = chunked_check_f_triples(hs, pair_sq, threshold).passed
+            assert f_triples_passed(hs, pair_sq, threshold) == expected
 
 
 def test_check_f_triples_equals_chunked_scan_on_boxes_with_exact_ties():
@@ -442,11 +494,9 @@ def test_check_f_triples_equals_chunked_scan_on_boxes_with_exact_ties():
             Hyperplane([1, 1, 0], 1.0),
         ]
         pair_sq = mirror_pair_sq(hs, rng.integers(0, 9, 3) / 2.0)
-        for threshold in (0.0, 1e-9, 0.5, 3.0):
-            report = _check_f_triples(normals_of(hs), pair_sq, threshold)
-            assert f_report_fields(report) == f_report_fields(
-                chunked_check_f_triples(hs, pair_sq, threshold)
-            )
+        for threshold in with_edges((0.0, 1e-9, 0.5, 3.0), chunked_factor(hs, pair_sq)):
+            expected = chunked_check_f_triples(hs, pair_sq, threshold).passed
+            assert f_triples_passed(hs, pair_sq, threshold) == expected
 
 
 def test_check_f_triples_memory_stays_bounded_on_icosahedron():
@@ -466,9 +516,9 @@ def test_check_f_triples_memory_stays_bounded_on_icosahedron():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not report.passed
-    assert f_report_fields(report) == f_report_fields(chunked_check_f_triples(hs, pair_sq, threshold))
     assert peak < 100e6
+    assert not report.passed and not f_triples_passed(hs, pair_sq, threshold)
+    assert not chunked_check_f_triples(hs, pair_sq, threshold).passed
 
 
 def test_generic_speakers_break_every_symmetry_in_3d():
@@ -511,14 +561,6 @@ def test_genericity_rejects_unsupported_dimensions(dim, monkeypatch):
             genericity_check(Arrangement(hs, dim), rng.uniform(-1.0, 1.0, dim))
 
 
-def screened_f_triples(hs, pair_sq, threshold):
-    """genericity_check's 3-d f stage: the screen, then the ordered scan if it fires."""
-    normals = normals_of(hs)
-    if _f_triples_may_vanish(normals, pair_sq, threshold):
-        return _check_f_triples(normals, pair_sq, threshold)
-    return GenericityReport(True, None)
-
-
 @pytest.mark.parametrize("k", range(3, 13))
 def test_screened_f_stage_equals_the_ordered_scans(k):
     rng = np.random.default_rng(300 + k)
@@ -531,16 +573,10 @@ def test_screened_f_stage_equals_the_ordered_scans(k):
         gaps = np.abs(vec[:, None] - vec[None, :])
         # Thresholds from none to many hits, and each first hit's own sqrt(f),
         # on the edge of a hit, and the float just below it.
-        thresholds = [0.0, *np.quantile(gaps[gaps > 0], [0.001, 0.05, 0.5])]
-        for threshold in list(thresholds):
-            report = chunked_check_f_triples(hs, pair_sq, threshold)
-            if not report.passed:
-                edge = float(np.sqrt(report.failed_factor.value))
-                thresholds += [edge, float(np.nextafter(edge, 0.0))]
-        for threshold in thresholds:
-            expected = f_report_fields(chunked_check_f_triples(hs, pair_sq, threshold))
-            assert f_report_fields(_check_f_triples(normals_of(hs), pair_sq, threshold)) == expected
-            assert f_report_fields(screened_f_triples(hs, pair_sq, threshold)) == expected
+        thresholds = (0.0, *np.quantile(gaps[gaps > 0], [0.001, 0.05, 0.5]))
+        for threshold in with_edges(thresholds, chunked_factor(hs, pair_sq)):
+            expected = chunked_check_f_triples(hs, pair_sq, threshold).passed
+            assert f_triples_passed(hs, pair_sq, threshold) == expected
 
 
 def mirror_walls(points):
@@ -564,45 +600,17 @@ def congruent_triangles() -> Arrangement:
 
 @pytest.mark.parametrize(
     "arrangement, planes",
-    [(ISOSCELES, ((0, 1, 2), (1, 0, 2))), (congruent_triangles(), ((0, 1, 2), (5, 3, 4)))],
+    [(ISOSCELES, ((0, 1, 2), (0, 1, 2))), (congruent_triangles(), ((0, 1, 2), (3, 4, 5)))],
     ids=["isosceles", "congruent"],
 )
 def test_mirror_symmetries_fail_on_f_as_the_ordered_scan_reports(arrangement, planes):
     hs, origin = arrangement.hyperplanes, np.zeros(3)
     pair_sq = mirror_pair_sq(hs, origin)
     threshold = 1e-9 * float(np.max(np.sum(arrangement.reflections(origin) ** 2, axis=1)))
-    assert _f_triples_may_vanish(arrangement.normals, pair_sq, threshold)
     report = genericity_check(arrangement, origin)
     assert report.failed_factor.kind == "f" and report.failed_factor.planes == planes
-    assert f_report_fields(report) == f_report_fields(
-        chunked_check_f_triples(hs, pair_sq, threshold)
-    )
-
-
-@pytest.fixture
-def ordered_scans(monkeypatch):
-    """The argument tuples of every _check_f_triples call genericity_check makes."""
-    calls = []
-    scan = symmetry._check_f_triples
-
-    def counted(*args):
-        calls.append(args)
-        return scan(*args)
-
-    monkeypatch.setattr(symmetry, "_check_f_triples", counted)
-    return calls
-
-
-def test_generic_room_skips_the_ordered_scan(ordered_scans):
-    rng = np.random.default_rng(14)
-    hs = tuple(Hyperplane(rng.normal(size=3), rng.uniform(-5, 5)) for _ in range(14))
-    assert genericity_check(Arrangement(hs, 3), rng.uniform(-1, 1, 3)).passed
-    assert ordered_scans == []
-
-
-def test_symmetric_room_runs_the_ordered_scan_once(ordered_scans):
-    assert not genericity_check(congruent_triangles(), np.zeros(3)).passed
-    assert len(ordered_scans) == 1
+    assert not f_triples_passed(hs, pair_sq, threshold)
+    assert not chunked_check_f_triples(hs, pair_sq, threshold).passed
 
 
 def test_screen_compares_with_repeated_wall_orderings():
@@ -614,16 +622,18 @@ def test_screen_compares_with_repeated_wall_orderings():
     s0, s1, s2 = 0.3 * t, 4.0, 4.0 + 0.9 * t
     pair_sq = np.array([[0.0, s0, s1], [s0, 0.0, s2], [s1, s2, 0.0]])
     hs = [Hyperplane(n, 1.0) for n in np.eye(3)]
-    report = screened_f_triples(hs, pair_sq, t)
+    report = _check_f_triples(normals_of(hs), pair_sq, t)
     assert report.failed_factor.planes == ((0, 1, 2), (0, 0, 2))
-    assert f_report_fields(report) == f_report_fields(chunked_check_f_triples(hs, pair_sq, t))
+    assert not f_triples_passed(hs, pair_sq, t)
+    assert not chunked_check_f_triples(hs, pair_sq, t).passed
 
 
 def test_screen_keeps_triples_just_above_the_independence_tolerance():
-    # |det| = 1e-9 + 5e-13: a row of the ordered scan, so a row of the screen.
+    # |det| = 1e-9 + 5e-13: a row of the ordered scan, so a row of the check.
     z = 1e-9 + 5e-13
     hs = [Hyperplane(n, 1.0) for n in ([1, 0, 0], [0, 1, 0], [0, np.sqrt(1 - z * z), z])]
     pair_sq = np.array([[0.0, 2.0, 2.0], [2.0, 0.0, 3.0], [2.0, 3.0, 0.0]])  # isosceles: d01 = d02
-    report = screened_f_triples(hs, pair_sq, 0.0)
-    assert report.failed_factor.planes == ((0, 1, 2), (0, 2, 1))
-    assert f_report_fields(report) == f_report_fields(chunked_check_f_triples(hs, pair_sq, 0.0))
+    report = _check_f_triples(normals_of(hs), pair_sq, 0.0)
+    assert report.failed_factor.planes == ((0, 1, 2), (0, 1, 2))
+    assert not f_triples_passed(hs, pair_sq, 0.0)
+    assert not chunked_check_f_triples(hs, pair_sq, 0.0).passed
