@@ -79,7 +79,8 @@ def bordered_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     every value too (geometry._certified_full_rank). Every other m, a
     rank-deficient block such as two coincident points included, takes the
     SVD, and one with a NaN or infinite entry, like a negative or
-    non-finite tol, raises ValueError.
+    non-finite tol, raises ValueError. The rank is never negative: a tol so
+    large that the SVD counts fewer than two values gives 0.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -90,7 +91,7 @@ def bordered_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     scale = np.maximum.reduce(np.abs(m), None, initial=0.0)
     if not scale < np.inf:
         raise ValueError("bordered_rank expects finite entries")
-    return _numerical_rank(border(m / scale if scale > 0.0 else m), tol) - 2
+    return max(_numerical_rank(border(m / scale if scale > 0.0 else m), tol) - 2, 0)
 
 
 def _cm_ratio_sq(block: list) -> float:

@@ -10,6 +10,7 @@ import numpy as np
 from .pipeline import export, load_scenario, run
 from .simulator import ambiguity_pair, echo_set_difference
 from .symmetry import (
+    DEFAULT_GENERICITY_TOL,
     Arrangement,
     ConcurrentLinesError,
     dihedral_counterexample,
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
     p_gen = sub.add_parser("genericity", help="check a speaker position for symmetry breaking")
     p_gen.add_argument("scenario")
     p_gen.add_argument("--speaker", type=_parse_point, default=None, help="x,y[,z]")
-    p_gen.add_argument("--tol", type=float, default=1e-9)
+    p_gen.add_argument("--tol", type=float, default=DEFAULT_GENERICITY_TOL)
     p_gen.set_defaults(func=_cmd_genericity)
 
     p_ctr = sub.add_parser("counterexample", help="line arrangement defeating symmetry breaking")

@@ -165,8 +165,11 @@ class Scenario:
     mics: MicArray | None = field(init=False, repr=False)
 
     def __post_init__(self):
+        if isinstance(self.dimension, bool) or not isinstance(self.dimension, (int, np.integer)):
+            raise ValueError(f"dimension must be an integer, got {self.dimension!r}")
         if self.dimension not in (2, 3):
             raise ValueError("dimension must be 2 or 3")
+        object.__setattr__(self, "dimension", int(self.dimension))
         for name in ("occlusion_enabled", "speaker_on_vehicle"):
             flag = getattr(self, name)
             if not isinstance(flag, (bool, np.bool_)):

@@ -152,8 +152,11 @@ def genericity_check(
     Evaluates every factor of the symmetry-breaking polynomial at v and
     passes only if all of them stay above tol * scale^2, where scale is the
     largest distance from v to one of its reflections. The reported factor is
-    the first vanishing one in scan order (g factors, then h, then f); in
-    3-d the f factors are decided on unordered wall sets (_check_f_triples).
+    the first vanishing one in scan order (g factors, then h, then f). In
+    both dimensions the f factors are decided on unordered wall sets, pairs
+    in 2-d and triples in 3-d (_check_f_sets): an f report names two wall
+    tuples and their least factor, the sum of squared differences of their
+    sorted mirror-pair distances, e.g. f[(0, 1), (2, 3)] = (d_01 - d_23)^2.
 
     In dimension 2 the guarantee requires that no three lines meet in one
     point; such arrangements are rejected unless allow_concurrent is set, in
@@ -196,9 +199,7 @@ def genericity_check(
         i, j = (int(x) for x in bad[0])
         return GenericityReport(False, FactorRef("h", (i, j), float(h_vals[i, j])))
 
-    if a.dimension == 3:
-        return _check_f_triples(a.normals, pair_sq, threshold)
-    return _check_f_pairs(a.normals, pair_sq, threshold)
+    return _check_f_sets(a.normals, pair_sq, threshold)
 
 
 def _first_near_duplicate(keys: np.ndarray, rows: np.ndarray, threshold: float):
@@ -238,66 +239,62 @@ def _first_near_duplicate(keys: np.ndarray, rows: np.ndarray, threshold: float):
     return None
 
 
-def _check_f_triples(normals, pair_sq: np.ndarray, threshold: float) -> GenericityReport:
-    """3-d f factors, decided on wall sets.
+def _check_f_sets(normals, pair_sq: np.ndarray, threshold: float) -> GenericityReport:
+    """f factors, decided on wall sets of the arrangement's dimension d.
 
-    The key of an ordered wall triple (i, j, l) is (d_ij, d_il, d_jl); the
-    factor of two triples is the sum of the squared differences of their
-    keys, and its square root is held to the g and h threshold. Reordering
-    a triple permutes its key, so the check works on wall sets with sorted
-    keys: two orderings of one set have least factor 2 g^2, g the least gap
-    of the sorted key, and for two different sets pairing sorted with sorted
-    gives the least factor over all their orderings (rearrangement
-    inequality). Rows are the sets with independent normals; columns are
-    every set and each wall pair as (i, i, j), key (0, d_ij, d_ij). (i, i, i)
-    needs no column: a key within the threshold of (0, 0, 0) has sqrt(2) g
-    below it. A failure names two sets in increasing wall order and their
-    least factor: the row with the least gap twice if that fails, else the
-    first hit in row-major order.
+    The key of an ordered wall d-tuple is its mirror-pair distances: d_ij
+    for (i, j) in 2-d, (d_ij, d_il, d_jl) for (i, j, l) in 3-d. The factor
+    of two tuples is the sum of the squared differences of their keys, and
+    its square root is held to the g and h threshold. Reordering a tuple
+    permutes its key, so the check works on wall sets with sorted keys: for
+    two different sets, pairing sorted with sorted gives the least factor
+    over all their orderings (rearrangement inequality). The two orderings
+    of a pair share its key; two orderings of a triple have least factor
+    2 g^2, g the least gap of the sorted key. Rows are the sets with
+    independent normals; columns are every set, then each (d-1)-set with
+    its first wall repeated: (i, i), key (0,), or (i, i, j), key (0, d_ij,
+    d_ij). (i, i, i) needs no column: a key within the threshold of (0, 0,
+    0) has sqrt(2) g below it. A failure names two tuples in increasing
+    wall order and their least factor: a triple with the least gap twice if
+    that fails, else the first hit in row-major order.
     """
-    k = len(normals)
+    k, d = normals.shape
     upper = np.arange(k)[:, None] < np.arange(k)  # wall pairs i < j
-    i, j, l = np.nonzero(upper[:, :, None] & upper)  # wall sets, lexicographic
-    n1, n2 = normals[:, [1, 2, 0]], normals[:, [2, 0, 1]]
-    cross = n1[:, None] * n2 - n2[:, None] * n1  # cross[j, l] = n_j x n_l
-    volume = np.einsum("ij,ij->i", normals[i], cross[j, l])
+    if d == 2:
+        i, j = sets = np.nonzero(upper)
+        rest = normals[:, ::-1] * [1.0, -1.0]  # n_i . rest[j] = det(n_i, n_j)
+        repeated = np.eye(k, dtype=bool)  # wall i as (i, i), key (0,)
+        keys = np.concatenate([pair_sq[i, j], np.zeros(k)])[:, None]
+    else:
+        i, j, l = sets = np.nonzero(upper[:, :, None] & upper)  # lexicographic
+        n1, n2 = normals[:, [1, 2, 0]], normals[:, [2, 0, 1]]
+        rest = n1[:, None] * n2 - n2[:, None] * n1  # rest[j, l] = n_j x n_l
+        repeated = upper  # wall pair (i, j) as (i, i, j), key (0, d_ij, d_ij)
+        keys = np.zeros((i.size + k * (k - 1) // 2, 3))
+        keys[: i.size] = np.sort(np.column_stack([pair_sq[i, j], pair_sq[i, l], pair_sq[j, l]]))
+        keys[i.size :, 1] = keys[i.size :, 2] = pair_sq[upper]
+    volume = np.einsum("ij,ij->i", normals[i], rest[sets[1:]])
     rows = np.flatnonzero(np.abs(volume) > _GEOM_TOL)
     if rows.size == 0:
         return GenericityReport(True, None)
-    keys = np.zeros((i.size + k * (k - 1) // 2, 3))
-    keys[: i.size] = np.sort(np.column_stack([pair_sq[i, j], pair_sq[i, l], pair_sq[j, l]]))
-    keys[i.size :, 1] = keys[i.size :, 2] = pair_sq[upper]
-    gaps = np.diff(keys[rows])  # two per row
-    least = int(gaps.argmin())
-    g = float(gaps.flat[least])
-    value = 2.0 * g * g  # the swap's factor, bit for bit as the sum of its terms
-    if math.sqrt(value) <= threshold:
-        row = col = rows[least // 2]
-    else:
+    row = None
+    gaps = np.diff(keys[rows])  # two per row in 3-d, none in 2-d
+    if gaps.size:
+        least = int(gaps.argmin())
+        g = float(gaps.flat[least])
+        value = 2.0 * g * g  # the swap's factor, bit for bit as the sum of its terms
+        if math.sqrt(value) <= threshold:
+            row = col = rows[least // 2]
+    if row is None:
         hit = _first_near_duplicate(keys, rows, threshold)
         if hit is None:
             return GenericityReport(True, None)
         row, col = hit
         value = float(np.sum((keys[row] - keys[col]) ** 2))
-    sets = np.vstack([np.column_stack([i, j, l]), np.argwhere(upper)[:, [0, 0, 1]]])
-    planes = (tuple(int(x) for x in sets[row]), tuple(int(x) for x in sets[col]))
+    # Each pair (i, j) of repeated as the d-tuple (i, ..., i, j).
+    tuples = np.vstack([np.column_stack(sets), np.argwhere(repeated)[:, [0] * (d - 1) + [1]]])
+    planes = (tuple(int(x) for x in tuples[row]), tuple(int(x) for x in tuples[col]))
     return GenericityReport(False, FactorRef("f", planes, value))
-
-
-def _check_f_pairs(normals, pair_sq: np.ndarray, threshold: float) -> GenericityReport:
-    # 2-d form: the mirror-pair distance of each non-parallel pair must
-    # differ from that of every other pair (ordered pairs collapse to sets).
-    # Rows are the non-parallel pairs i < j, columns all pairs i <= j, both
-    # in lexicographic order; i == j gives determinant zero, so no row.
-    pairs = np.stack(np.triu_indices(len(normals)), axis=1)
-    rows = np.flatnonzero(np.abs(np.linalg.det(normals[pairs])) > _GEOM_TOL)
-    keys = pair_sq[pairs[:, :1], pairs[:, 1:]]  # (s, 1)
-    hit = _first_near_duplicate(keys, rows, threshold)
-    if hit is None:
-        return GenericityReport(True, None)
-    row, col = hit
-    planes = (tuple(int(x) for x in pairs[row]), tuple(int(x) for x in pairs[col]))
-    return GenericityReport(False, FactorRef("f", planes, float(keys[row, 0] - keys[col, 0])))
 
 
 def dihedral_counterexample(k: int) -> Arrangement:

@@ -175,7 +175,7 @@ def backtracking_match(
     return tuple(x - 1 for x in ii[1 : r + 1]), tuple(x - 1 for x in jj[1 : r + 1])
 
 
-# Reference: the chunked f-factor scan that symmetry._check_f_triples
+# Reference: the chunked f-factor scan that symmetry._check_f_sets
 # replaced, kept as it was; it compares every independent ordered wall triple
 # with all W^3 ordered triples.
 def _ordered_triples(k: int) -> np.ndarray:

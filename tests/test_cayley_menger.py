@@ -66,6 +66,10 @@ def test_cm_matrix_rejects_invalid_distance_matrix():
 def test_bordered_rank_examples():
     square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     assert bordered_rank(pairwise_squared_distances(square)) == affine_dimension(square)
+    # At tol = 0.99 the SVD of the square's bordered matrix keeps one value;
+    # the rank is 0, not 1 - 2.
+    assert bordered_rank(pairwise_squared_distances(square), 0.99) == 0
+    assert affine_dimension(square, 0.99) == 1
     tetra = np.eye(3)
     tetra = np.vstack([np.zeros(3), tetra])
     assert bordered_rank(pairwise_squared_distances(tetra)) == 3

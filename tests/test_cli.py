@@ -405,6 +405,27 @@ def test_cli_genericity_rejects_nan_wall_offset(scenario_dir, tmp_path, capsys):
     assert "passed" not in captured.out
 
 
+def test_cli_genericity_names_two_wall_pairs_on_a_2d_f_failure(tmp_path, capsys):
+    # The walls mirror the origin to (0.6, -0.8), (2, 0), (-3, 4) and
+    # (-3.2, 2.4): mirror pairs 0-1 and 2-3 are both sqrt(2.6) apart, while
+    # the squared reflection distances 1, 4, 25 and 16 keep every g and h
+    # factor clear of zero.
+    path = tmp_path / "twin_pairs_2d.yaml"
+    path.write_text(
+        "dimension: 2\n"
+        "walls:\n"
+        "  - {normal: [0.6, -0.8], offset: 0.5}\n"
+        "  - {normal: [1, 0], offset: 1.0}\n"
+        "  - {normal: [-0.6, 0.8], offset: 2.5}\n"
+        "  - {normal: [-0.8, 0.6], offset: 2.0}\n"
+        "speaker: [0.0, 0.0]\n"
+    )
+    assert main(["genericity", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("failed: factor f[(0, 1), (2, 3)] = ")
+    assert float(out.split(" = ")[1].split()[0]) >= 0.0
+
+
 def test_cli_genericity_axis_speaker_fails(scenario_dir, capsys):
     assert main(["genericity", str(scenario_dir / "box_room_axis.yaml")]) == 0
     assert "failed: factor" in capsys.readouterr().out

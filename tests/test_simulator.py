@@ -502,6 +502,15 @@ def test_scenario_validation():
             box_scenario(noise_sigma=1e-3).with_overrides(seed=seed)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         box_scenario(seed=-1)
+    walls_2d = (Wall(Hyperplane([1, 0], 0.0)), Wall(Hyperplane([0, 1], 0.0)))
+    for dim in (2.0, np.float64(2), True, "2", None):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            Scenario(walls=walls_2d, speaker=[1.0, 2.0], dimension=dim)
+    with pytest.raises(ValueError, match="dimension must be 2 or 3"):
+        Scenario(walls=walls_2d, speaker=[1.0, 2.0], dimension=np.int32(4))
+    for dim in (2, np.int64(2), np.uint8(2)):
+        scn = Scenario(walls=walls_2d, speaker=[1.0, 2.0], dimension=dim)
+        assert type(scn.dimension) is int and scn.dimension == 2
     for seed in (0, 7, np.int64(7), np.uint8(7)):
         scn = box_scenario(noise_sigma=1e-3, seed=seed)
         assert generate_echoes(scn, scn.path[1], 1) == generate_echoes(

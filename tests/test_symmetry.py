@@ -18,7 +18,7 @@ from echopath import (
     reflect_point,
 )
 from echopath import symmetry
-from echopath.symmetry import _check_f_pairs, _check_f_triples
+from echopath.symmetry import _check_f_sets
 
 X0 = Hyperplane([1, 0], 0.0)
 X16 = Hyperplane([1, 0], 16.0)
@@ -323,12 +323,26 @@ def loop_check_f_pairs(hs, pair_sq, threshold):
     return None
 
 
-def f_pairs_outcome(hs, pair_sq, threshold):
-    report = _check_f_pairs(normals_of(hs), pair_sq, threshold)
-    if report.passed:
-        return None
-    assert report.failed_factor.kind == "f"
-    return report.failed_factor.planes, report.failed_factor.value
+def loop_pair_factor(hs, pair_sq):
+    """The first failing factor of loop_check_f_pairs at a threshold, squared
+    as _check_f_sets reports it, or None."""
+
+    def first_factor(threshold):
+        expected = loop_check_f_pairs(hs, pair_sq, threshold)
+        return None if expected is None else expected[1] ** 2
+
+    return first_factor
+
+
+def assert_f_pairs_match_loop(hs, pair_sq, thresholds):
+    """At each threshold and each failure's edge, _check_f_sets' verdict is the
+    loop's, and a failure names the loop's first pair."""
+    for threshold in with_edges(thresholds, loop_pair_factor(hs, pair_sq)):
+        expected = loop_check_f_pairs(hs, pair_sq, threshold)
+        assert f_sets_passed(hs, pair_sq, threshold) == (expected is None)
+        if expected is not None:
+            report = _check_f_sets(normals_of(hs), pair_sq, threshold)
+            assert report.failed_factor.planes[0] == expected[0][0]
 
 
 def test_check_f_pairs_matches_loop_reference_on_random_arrangements():
@@ -341,10 +355,8 @@ def test_check_f_pairs_matches_loop_reference_on_random_arrangements():
         pair_sq = pairwise_squared_distances(rng.uniform(-5, 5, (k, 2)))
         # Thresholds from none to many hits exercise the scan order.
         diffs = np.abs(pair_sq[:, :, None, None] - pair_sq[None, None, :, :])
-        for threshold in (0.0, *np.quantile(diffs[diffs > 0], [0.01, 0.2, 0.9])):
-            assert f_pairs_outcome(hs, pair_sq, threshold) == loop_check_f_pairs(
-                hs, pair_sq, threshold
-            )
+        thresholds = (0.0, *np.quantile(diffs[diffs > 0], [0.01, 0.2, 0.9]))
+        assert_f_pairs_match_loop(hs, pair_sq, thresholds)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
@@ -355,9 +367,8 @@ def test_check_f_pairs_matches_loop_reference_on_dihedral_counterexample(k):
         v = rng.uniform(-5, 5, 2)
         pair_sq = pairwise_squared_distances(np.stack([reflect_point(h, v) for h in hs]))
         threshold = 1e-9 * float(np.max(pair_sq))
-        expected = loop_check_f_pairs(hs, pair_sq, threshold)
-        assert expected is not None
-        assert f_pairs_outcome(hs, pair_sq, threshold) == expected
+        assert loop_check_f_pairs(hs, pair_sq, threshold) is not None
+        assert_f_pairs_match_loop(hs, pair_sq, [threshold])
 
 
 def loop_check_f_triples(hs, pair_sq, threshold):
@@ -378,7 +389,8 @@ def loop_check_f_triples(hs, pair_sq, threshold):
 
 
 def ordered_key(pair_sq, t):
-    return np.array([pair_sq[t[0], t[1]], pair_sq[t[0], t[2]], pair_sq[t[1], t[2]]])
+    """The mirror-pair distances of an ordered wall tuple, pairs in combinations order."""
+    return np.array([pair_sq[a, b] for a, b in itertools.combinations(t, 2)])
 
 
 def least_ordered_factor(pair_sq, first, second):
@@ -391,27 +403,31 @@ def least_ordered_factor(pair_sq, first, second):
     )
 
 
-def f_triples_passed(hs, pair_sq, threshold):
-    """_check_f_triples' verdict, once its report (if any) is checked.
+def f_sets_passed(hs, pair_sq, threshold):
+    """_check_f_sets' verdict, once its report (if any) is checked.
 
-    A report names two wall sets in increasing wall order, the first with
-    independent normals, and their least factor over all orderings: the
-    sum of squared differences of their sorted keys, or 2 g^2 when one set
-    is named twice, g the least gap of its sorted key. Its square root is
-    within the threshold.
+    A report names two wall tuples of the arrangement's dimension in
+    increasing wall order, the first with independent normals, and their
+    least factor over all orderings: the sum of squared differences of their
+    sorted keys, or 2 g^2 when one set is named twice, g the least gap of
+    its sorted key. Its square root is within the threshold.
     """
     normals = normals_of(hs)
-    report = _check_f_triples(normals, pair_sq, threshold)
+    report = _check_f_sets(normals, pair_sq, threshold)
     if report.passed:
         return True
     f = report.failed_factor
     first, second = f.planes
     assert f.kind == "f" and list(first) == sorted(first) and list(second) == sorted(second)
+    assert len(first) == len(second) == normals.shape[1]
     assert abs(np.linalg.det(normals[list(first)])) > 1e-9
     key = np.sort(ordered_key(pair_sq, first))
-    g = np.diff(key).min()
     diff = key - np.sort(ordered_key(pair_sq, second))
-    assert f.value == (2.0 * g * g if first == second else np.sum(diff**2))
+    if first == second:
+        g = np.diff(key).min()
+        assert f.value == 2.0 * g * g
+    else:
+        assert f.value == np.sum(diff**2)
     assert f.value == pytest.approx(least_ordered_factor(pair_sq, first, second), rel=1e-12)
     assert np.sqrt(f.value) <= threshold
     return False
@@ -463,7 +479,7 @@ def test_check_f_triples_matches_loop_reference_on_random_arrangements():
 
         for threshold in with_edges(thresholds, loop_factor):
             expected = loop_check_f_triples(hs, pair_sq, threshold)
-            assert f_triples_passed(hs, pair_sq, threshold) == (expected is None)
+            assert f_sets_passed(hs, pair_sq, threshold) == (expected is None)
 
 
 @pytest.mark.parametrize("k", [3, 5, 8, 11, 14])
@@ -480,7 +496,7 @@ def test_check_f_triples_equals_chunked_scan_on_random_arrangements(k):
         thresholds = (0.0, *np.quantile(gaps[gaps > 0], [0.001, 0.05, 0.5]))
         for threshold in with_edges(thresholds, chunked_factor(hs, pair_sq)):
             expected = chunked_check_f_triples(hs, pair_sq, threshold).passed
-            assert f_triples_passed(hs, pair_sq, threshold) == expected
+            assert f_sets_passed(hs, pair_sq, threshold) == expected
 
 
 def test_check_f_triples_equals_chunked_scan_on_boxes_with_exact_ties():
@@ -496,7 +512,7 @@ def test_check_f_triples_equals_chunked_scan_on_boxes_with_exact_ties():
         pair_sq = mirror_pair_sq(hs, rng.integers(0, 9, 3) / 2.0)
         for threshold in with_edges((0.0, 1e-9, 0.5, 3.0), chunked_factor(hs, pair_sq)):
             expected = chunked_check_f_triples(hs, pair_sq, threshold).passed
-            assert f_triples_passed(hs, pair_sq, threshold) == expected
+            assert f_sets_passed(hs, pair_sq, threshold) == expected
 
 
 def test_check_f_triples_memory_stays_bounded_on_icosahedron():
@@ -512,12 +528,12 @@ def test_check_f_triples_memory_stays_bounded_on_icosahedron():
     threshold = 1e-9 * 16.0
     tracemalloc.start()
     try:
-        report = _check_f_triples(normals_of(hs), pair_sq, threshold)
+        report = _check_f_sets(normals_of(hs), pair_sq, threshold)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100e6
-    assert not report.passed and not f_triples_passed(hs, pair_sq, threshold)
+    assert not report.passed and not f_sets_passed(hs, pair_sq, threshold)
     assert not chunked_check_f_triples(hs, pair_sq, threshold).passed
 
 
@@ -576,7 +592,7 @@ def test_screened_f_stage_equals_the_ordered_scans(k):
         thresholds = (0.0, *np.quantile(gaps[gaps > 0], [0.001, 0.05, 0.5]))
         for threshold in with_edges(thresholds, chunked_factor(hs, pair_sq)):
             expected = chunked_check_f_triples(hs, pair_sq, threshold).passed
-            assert f_triples_passed(hs, pair_sq, threshold) == expected
+            assert f_sets_passed(hs, pair_sq, threshold) == expected
 
 
 def mirror_walls(points):
@@ -609,7 +625,7 @@ def test_mirror_symmetries_fail_on_f_as_the_ordered_scan_reports(arrangement, pl
     threshold = 1e-9 * float(np.max(np.sum(arrangement.reflections(origin) ** 2, axis=1)))
     report = genericity_check(arrangement, origin)
     assert report.failed_factor.kind == "f" and report.failed_factor.planes == planes
-    assert not f_triples_passed(hs, pair_sq, threshold)
+    assert not f_sets_passed(hs, pair_sq, threshold)
     assert not chunked_check_f_triples(hs, pair_sq, threshold).passed
 
 
@@ -622,9 +638,9 @@ def test_screen_compares_with_repeated_wall_orderings():
     s0, s1, s2 = 0.3 * t, 4.0, 4.0 + 0.9 * t
     pair_sq = np.array([[0.0, s0, s1], [s0, 0.0, s2], [s1, s2, 0.0]])
     hs = [Hyperplane(n, 1.0) for n in np.eye(3)]
-    report = _check_f_triples(normals_of(hs), pair_sq, t)
+    report = _check_f_sets(normals_of(hs), pair_sq, t)
     assert report.failed_factor.planes == ((0, 1, 2), (0, 0, 2))
-    assert not f_triples_passed(hs, pair_sq, t)
+    assert not f_sets_passed(hs, pair_sq, t)
     assert not chunked_check_f_triples(hs, pair_sq, t).passed
 
 
@@ -633,7 +649,7 @@ def test_screen_keeps_triples_just_above_the_independence_tolerance():
     z = 1e-9 + 5e-13
     hs = [Hyperplane(n, 1.0) for n in ([1, 0, 0], [0, 1, 0], [0, np.sqrt(1 - z * z), z])]
     pair_sq = np.array([[0.0, 2.0, 2.0], [2.0, 0.0, 3.0], [2.0, 3.0, 0.0]])  # isosceles: d01 = d02
-    report = _check_f_triples(normals_of(hs), pair_sq, 0.0)
+    report = _check_f_sets(normals_of(hs), pair_sq, 0.0)
     assert report.failed_factor.planes == ((0, 1, 2), (0, 1, 2))
-    assert not f_triples_passed(hs, pair_sq, 0.0)
+    assert not f_sets_passed(hs, pair_sq, 0.0)
     assert not chunked_check_f_triples(hs, pair_sq, 0.0).passed
