@@ -23,6 +23,7 @@ from .geometry import (
     DegenerateGeometryError,
     _certified_full_rank,
     _numerical_rank,
+    _real_array,
     affine_dimension,
     pairwise_squared_distances,
 )
@@ -204,7 +205,7 @@ class MicArray:
     form_bound: float = field(init=False)
 
     def __post_init__(self):
-        local = np.array(self.local, dtype=float)
+        local = np.array(_real_array(self.local, "mic_local coordinates"))
         if local.shape != (4, 3):
             raise ValueError(f"mic_local must be 4 points in 3-d, got shape {local.shape}")
         if not np.all(np.isfinite(local)):

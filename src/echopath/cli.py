@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -25,6 +26,17 @@ def _parse_point(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"not a comma-separated point: {text!r}") from exc
 
 
+def _open_output(path) -> bool:
+    """Open path for writing, so an unwritable path fails before any step
+    runs; True if this created the file."""
+    try:
+        open(path, "x", encoding="utf-8").close()
+        return True
+    except FileExistsError:
+        open(path, "a", encoding="utf-8").close()
+        return False
+
+
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     overrides = {}
@@ -34,9 +46,13 @@ def _cmd_run(args) -> int:
         overrides["seed"] = args.seed
     if overrides:
         scenario = scenario.with_overrides(**overrides)
-    if args.out:  # an unwritable path fails here, before any step runs
-        open(args.out, "a", encoding="utf-8").close()
-    records, metrics = run(scenario)
+    created = bool(args.out) and _open_output(args.out)
+    try:
+        records, metrics = run(scenario)
+    except BaseException:
+        if created:  # a file that existed before is left as it was
+            os.remove(args.out)
+        raise
     for r in records:
         if r.status == "success":
             print(

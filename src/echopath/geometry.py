@@ -15,15 +15,42 @@ import numpy as np
 BOUNDARY_PLANE_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-6
 _SAME_PLANE_TOL = 1e-9
+_FLOAT64 = np.dtype(float)
 
 
 class DegenerateGeometryError(ValueError):
     """A geometric configuration is too degenerate for the requested operation."""
 
 
+def _holds_bool(values) -> bool:
+    """True if values, a number or a nested list or tuple, holds a bool."""
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_bool, values))
+    return isinstance(values, (bool, np.bool_)) or (
+        isinstance(values, np.ndarray) and values.dtype.kind == "b"
+    )
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """values as a float array, without a copy when they already are one.
+
+    np.asarray(values, dtype=float) reads True as 1.0 and "1" as 1.0; here a
+    bool, a string or any other entry that is not a real number raises
+    ValueError ("<what> must be numbers"). An array is judged by its dtype,
+    a list or tuple also by its entries, since NumPy promotes a bool among
+    numbers silently. A float64 array, the common case, is returned as it is.
+    """
+    if type(values) is np.ndarray and values.dtype is _FLOAT64:
+        return values
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf" or (a is not values and _holds_bool(values)):
+        raise ValueError(f"{what} must be numbers, got {values!r}")
+    return np.asarray(a, dtype=float)
+
+
 def as_point(coords, dim: int | None = None) -> np.ndarray:
     """Validate and convert coordinates to a float point array."""
-    p = np.asarray(coords, dtype=float)
+    p = _real_array(coords, "point coordinates")
     if p.ndim != 1:
         raise ValueError(f"point must be a 1-d coordinate array, got shape {p.shape}")
     if dim is not None and p.shape[0] != dim:
@@ -81,18 +108,22 @@ class Hyperplane:
 class Wall:
     """A planar reflector: a hyperplane plus an optional polygonal boundary.
 
-    Without a boundary the wall is the whole (unbounded) plane. A boundary is
-    an ordered list of >= 3 coplanar vertices forming a simple polygon; it is
-    only meaningful in dimension 3 and enables per-microphone occlusion tests.
+    Without a boundary the wall is the whole (unbounded) plane. A boundary (3-d
+    only) is an ordered list of >= 3 coplanar vertices forming a simple polygon,
+    kept also in the wall's orthonormal in-plane frame for reflects().
     """
 
     plane: Hyperplane
     boundary: np.ndarray | None = field(default=None)
+    _frame: np.ndarray | None = field(default=None, init=False, repr=False)
+    _polygon: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.boundary is None:
             return
-        b = np.asarray(self.boundary, dtype=float)
+        if self.plane.dim != 3:
+            raise ValueError("a wall boundary needs a 3-d plane")
+        b = _real_array(self.boundary, "wall boundary coordinates")
         if b.ndim != 2 or b.shape[0] < 3 or b.shape[1] != self.plane.dim:
             raise ValueError(
                 "wall boundary must be >= 3 points of the plane's dimension"
@@ -102,13 +133,30 @@ class Wall:
         dists = b @ self.plane.normal - self.plane.offset
         if np.max(np.abs(dists)) > BOUNDARY_PLANE_TOL:
             raise ValueError("wall boundary points must lie on the wall plane")
-        if self.plane.dim == 3 and not _is_simple_polygon(b, self.plane.normal):
+        frame = plane_basis(self.plane.normal)
+        polygon = b @ frame.T
+        if not _is_simple_polygon(polygon):
             raise ValueError("wall boundary must be a simple polygon")
         object.__setattr__(self, "boundary", b)
+        object.__setattr__(self, "_frame", frame)
+        object.__setattr__(self, "_polygon", polygon)
 
     @property
     def bounded(self) -> bool:
         return self.boundary is not None
+
+    def reflects(self, mic: np.ndarray, mirror: np.ndarray) -> bool:
+        """True if the segment mic -> mirror (this wall's mirror point) crosses
+        the plane inside the boundary, at the reflection point; always when unbounded."""
+        if self.boundary is None:
+            return True
+        d_mic = self.plane.signed_distance(mic)
+        d_mirror = self.plane.signed_distance(mirror)
+        if d_mic * d_mirror >= 0.0:
+            return False  # the segment does not cross the plane
+        t = d_mic / (d_mic - d_mirror)
+        hit = mic + t * (mirror - mic)
+        return point_in_polygon(self._frame @ hit, self._polygon)
 
 
 def plane_basis(normal: np.ndarray) -> np.ndarray:
@@ -133,8 +181,7 @@ def _segments_intersect(p1, p2, q1, q2) -> bool:
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
-def _is_simple_polygon(vertices: np.ndarray, normal: np.ndarray) -> bool:
-    pts2 = vertices @ plane_basis(normal).T
+def _is_simple_polygon(pts2: np.ndarray) -> bool:
     k = len(pts2)
     edges = [(pts2[i], pts2[(i + 1) % k]) for i in range(k)]
     for i in range(k):

@@ -42,6 +42,7 @@ from .cayley_menger import (
 from .geometry import (
     _EPS,
     DegenerateGeometryError,
+    _real_array,
     affine_dimension,
     pairwise_squared_distances,
     squared_distances,
@@ -126,10 +127,7 @@ def _as_points(points) -> np.ndarray:
     of 3-vectors, or empty (no rows). Any other shape, a coordinate that is
     not a finite number included, raises ValueError.
     """
-    try:
-        rows = np.array(points, dtype=float)
-    except TypeError as exc:
-        raise ValueError("source coordinates must be numbers") from exc
+    rows = np.array(_real_array(points, "source coordinates"))
     if rows.ndim == 1 and rows.size in (0, 3):
         rows = rows.reshape(-1, 3)
     if rows.ndim != 2 or rows.shape[1] != 3 or not np.isfinite(rows).all():

@@ -23,10 +23,9 @@ from .geometry import (
     Hyperplane,
     Wall,
     _is_real,
+    _real_array,
     as_point,
     mirror_point,
-    plane_basis,
-    point_in_polygon,
 )
 
 ORTHOGONALITY_TOL = 1e-9
@@ -74,7 +73,7 @@ class Pose:
 
     def __init__(self, v, A, ortho_tol: float = ORTHOGONALITY_TOL):
         v = as_point(v, 3)
-        a = np.asarray(A, dtype=float)
+        a = _real_array(A, "orientation matrix entries")
         if a.shape != (3, 3):
             raise ValueError(f"orientation matrix must be 3x3, got {a.shape}")
         # On Python floats: NumPy's per-call cost exceeds this 3x3 arithmetic.
@@ -179,6 +178,8 @@ class Scenario:
         if not walls:
             raise ValueError("scenario needs at least one wall")
         for i, w in enumerate(walls):
+            if not isinstance(w, Wall):
+                raise ValueError(f"walls[{i}] must be a Wall, got {w!r}")
             if w.plane.dim != self.dimension:
                 raise ValueError(f"walls[{i}] does not match scenario dimension")
         object.__setattr__(self, "walls", walls)
@@ -198,6 +199,9 @@ class Scenario:
         path = tuple(self.path)
         if path and self.dimension != 3:
             raise ValueError("a pose path requires a 3-d scenario")
+        for i, pose in enumerate(path):
+            if not isinstance(pose, Pose):
+                raise ValueError(f"path[{i}] must be a Pose, got {pose!r}")
         object.__setattr__(self, "path", path)
         if not _is_real(self.noise_sigma):
             raise ValueError(f"noise_sigma must be a real number, got {self.noise_sigma!r}")
@@ -243,39 +247,20 @@ def image_sources(walls, speaker) -> np.ndarray:
     return np.stack([spk] + [mirror_point(w, spk) for w in walls])
 
 
-def _emission_sources(s: Scenario, p: Pose) -> np.ndarray:
-    """image_sources of the emission at pose p; a fixed speaker's are the scenario's own."""
-    if s.speaker_on_vehicle:
-        return image_sources(s.walls, speaker_position(s, p))
-    return s._fixed_image_sources
-
-
-def _reflection_audible(wall: Wall, mic: np.ndarray, mirror: np.ndarray) -> bool:
-    # The echo exists when the segment microphone -> mirror point crosses the
-    # wall's polygon (the actual reflection point lies on the finite wall).
-    d_mic = wall.plane.signed_distance(mic)
-    d_mirror = wall.plane.signed_distance(mirror)
-    if d_mic * d_mirror >= 0.0:
-        return False  # segment does not cross the plane
-    t = d_mic / (d_mic - d_mirror)
-    hit = mic + t * (mirror - mic)
-    basis = plane_basis(wall.plane.normal)
-    return point_in_polygon(basis @ hit, wall.boundary @ basis.T)
-
-
 def _emission(s: Scenario, p: Pose) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sources, world microphones and audibility of the emission at pose p."""
-    if s.mic_local is None:
-        raise ValueError("scenario has no microphones")
-    sources = _emission_sources(s, p)
+    """Sources, world microphones and audibility of the emission at pose p; a
+    fixed speaker's image sources are the scenario's own, and each bounded
+    wall decides which microphones hear its echo (Wall.reflects)."""
     mics = world_microphones(s, p)
+    if s.speaker_on_vehicle:
+        sources = image_sources(s.walls, speaker_position(s, p))
+    else:
+        sources = s._fixed_image_sources
     audible = np.ones((len(sources), 4), dtype=bool)
     if s.occlusion_enabled:
-        for wi, wall in enumerate(s.walls):
-            if not wall.bounded:
-                continue  # unbounded plane: occlusion test forced off
-            for k in range(4):
-                audible[1 + wi, k] = _reflection_audible(wall, mics[k], sources[1 + wi])
+        for wi, wall in enumerate(s.walls, 1):
+            if wall.bounded:
+                audible[wi] = [wall.reflects(mic, sources[wi]) for mic in mics]
     return sources, mics, audible
 
 
@@ -296,10 +281,8 @@ def ground_truth_sources(s: Scenario, p: Pose) -> list[np.ndarray]:
     """Speaker position plus mirror points heard by at least one microphone.
 
     With occlusion disabled (or all walls unbounded) this is simply the
-    speaker and every mirror point.
+    speaker and every mirror point. The scenario needs microphones.
     """
-    if s.mic_local is None or not s.occlusion_enabled or not any(w.bounded for w in s.walls):
-        return list(_emission_sources(s, p))
     sources, audible = source_audibility(s, p)
     return [sources[i] for i in range(len(sources)) if audible[i].any()]
 
@@ -353,11 +336,8 @@ def echo_set_difference(a: EchoSet, b: EchoSet) -> float:
             if da or db:
                 return math.inf
             continue
-        ra = np.sqrt(np.asarray(da))
-        rb = np.sqrt(np.asarray(db))
-        forward = np.max([np.min(np.abs(rb - x)) for x in ra])
-        backward = np.max([np.min(np.abs(ra - x)) for x in rb])
-        worst = max(worst, forward, backward)
+        gaps = np.abs(np.sqrt(np.asarray(da))[:, None] - np.sqrt(np.asarray(db)))
+        worst = max(worst, gaps.min(axis=1).max(), gaps.min(axis=0).max())
     return float(worst)
 
 

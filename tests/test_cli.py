@@ -369,6 +369,26 @@ def test_cli_run_reports_an_unwritable_output_as_an_error(scenario_dir, tmp_path
     assert not out.exists()
 
 
+def test_cli_run_removes_the_output_it_created_when_the_run_fails(scenario_dir, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["run", str(scenario_dir / "rect_room_2d.yaml"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: run requires a 3-d scenario with microphones and a path\n"
+    assert not out.exists()
+
+
+def test_cli_run_leaves_an_existing_output_as_it_was_when_the_run_fails(
+    scenario_dir, tmp_path, capsys
+):
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"step_index,status\n0,success\n")
+    before = out.stat()
+    assert main(["run", str(scenario_dir / "rect_room_2d.yaml"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: run requires")
+    assert out.read_bytes() == b"step_index,status\n0,success\n"
+    assert out.stat().st_mtime_ns == before.st_mtime_ns
+
+
 def test_cli_run_noise_override(scenario_dir, capsys):
     code = main(["run", str(scenario_dir / "box_room.yaml"), "--noise", "0.0005", "--seed", "3"])
     assert code == 0

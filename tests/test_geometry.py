@@ -321,6 +321,31 @@ def test_valid_bounded_wall():
     assert wall.bounded
 
 
+def test_wall_reflects_only_through_its_polygon():
+    # The unit square in z = 0, microphones above it, mirror points below.
+    square = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
+    wall = Wall(Hyperplane([0, 0, 1], 0.0), boundary=square)
+    assert np.array_equal(wall._polygon, wall.boundary @ geometry.plane_basis([0, 0, 1]).T)
+
+    def reflects(mic, mirror):
+        return wall.reflects(np.array(mic, dtype=float), np.array(mirror, dtype=float))
+
+    assert reflects([0.5, 0.5, 1.0], [0.5, 0.5, -1.0])  # straight through the square
+    assert reflects([0.2, 0.9, 2.0], [0.8, 0.1, -1.0])  # obliquely, at (0.6, 0.37)
+    assert not reflects([2.0, 0.5, 1.0], [2.0, 0.5, -1.0])  # the plane, beside the square
+    assert not reflects([0.5, 0.5, 1.0], [3.5, 0.5, -1.0])  # the plane, at (2, 0.5)
+    assert not reflects([0.5, 0.5, 1.0], [0.5, 0.5, 0.5])  # the segment stops short of the plane
+    assert not reflects([0.5, 0.5, 0.0], [0.5, 0.5, -1.0])  # the microphone lies on the plane
+    unbounded = Wall(Hyperplane([0, 0, 1], 0.0))
+    assert unbounded.reflects(np.array([2.0, 0.5, 1.0]), np.array([2.0, 0.5, -1.0]))
+
+
+def test_wall_boundary_needs_a_3d_plane():
+    with pytest.raises(ValueError, match="needs a 3-d plane"):
+        Wall(Hyperplane([1, 0], 0.0), boundary=[[0, 0], [0, 1], [0, 2]])
+    assert not Wall(Hyperplane([1, 0], 0.0)).bounded
+
+
 def test_pairwise_squared_distances_do_not_depend_on_memory_layout():
     # einsum rounds by memory layout, so a transposed view must be copied to
     # C order: its distances are those of the C-ordered copy, bit for bit.

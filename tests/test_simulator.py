@@ -1,16 +1,19 @@
 import copy
+import math
 import pickle
 
 import numpy as np
 import pytest
-from conftest import box_scenario, box_walls, random_rotation, tetra_mics
+from conftest import box_scenario, box_walls, demo_path, random_rotation, tetra_mics
 
 from echopath import (
     DegenerateGeometryError,
     EchoSet,
     Hyperplane,
+    MicArray,
     Pose,
     Scenario,
+    SourceRegistry,
     Wall,
     ambiguity_pair,
     cm_matrix,
@@ -21,6 +24,7 @@ from echopath import (
     rotation_from_yaw_pitch_roll,
     world_microphones,
 )
+from echopath import geometry
 from echopath.cayley_menger import cm_polynomial
 from echopath.simulator import (
     image_sources,
@@ -80,6 +84,14 @@ def test_ground_truth_speaker_on_wall():
     scn = box_scenario(speaker=[0.0, 2.0, 1.5])
     src = ground_truth_sources(scn, scn.path[0])
     assert np.allclose(src[0], src[1])  # mirror across x=0 coincides with speaker
+
+
+def test_ground_truth_sources_need_microphones():
+    # "Heard by at least one microphone" needs microphones, occluded or not.
+    for occluded in (False, True):
+        scn = box_scenario(mic_local=None, occlusion_enabled=occluded)
+        with pytest.raises(ValueError, match="no microphones"):
+            ground_truth_sources(scn, scn.path[0])
 
 
 def test_speaker_position_on_vehicle():
@@ -232,6 +244,55 @@ def test_occlusion_leaves_the_noise_of_audible_echoes_unchanged():
     assert dropped > 0
 
 
+def reflection_audible_reference(wall, mic, mirror):
+    """The reflection-point test with the wall's frame rebuilt per call."""
+    d_mic, d_mirror = wall.plane.signed_distance(mic), wall.plane.signed_distance(mirror)
+    if d_mic * d_mirror >= 0.0:
+        return False
+    hit = mic + d_mic / (d_mic - d_mirror) * (mirror - mic)
+    basis = geometry.plane_basis(wall.plane.normal)
+    return geometry.point_in_polygon(basis @ hit, wall.boundary @ basis.T)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_occluded_emissions_equal_the_reflection_point_reference(sigma):
+    # Random poses in the occluded box: each bounded wall's verdict per
+    # microphone is the reference's, and the echoes and ground truth follow.
+    rng = np.random.default_rng(int(sigma * 1e3) + 35)
+    scn = box_scenario(walls=occluded_box_walls(), occlusion_enabled=True, noise_sigma=sigma)
+    heard = set()
+    for idx in range(60):
+        pose = Pose(rng.uniform([0.8, 0.8, 0.6], [5.2, 4.2, 2.4]), random_rotation(rng))
+        sources, audible = source_audibility(scn, pose)
+        mics = world_microphones(scn, pose)
+        want = np.ones_like(audible)
+        for wi, wall in enumerate(scn.walls, 1):
+            if wall.bounded:
+                want[wi] = [reflection_audible_reference(wall, m, sources[wi]) for m in mics]
+        assert np.array_equal(audible, want)
+        heard.update(want[[2, 5]].ravel().tolist())
+        truth = ground_truth_sources(scn, pose)
+        kept = np.flatnonzero(want.any(axis=1))
+        assert len(truth) == len(kept)
+        assert all(np.array_equal(t, sources[i]) for t, i in zip(truth, kept))
+        echoes = generate_echoes(scn, pose, idx)
+        assert echoes.d_sets == per_pose_echoes(scn, pose, idx).d_sets
+    assert heard == {False, True}  # both verdicts occur
+
+
+def test_an_emission_reuses_each_walls_frame(monkeypatch):
+    # A bounded wall builds its in-plane frame once, when it is built.
+    scn = box_scenario(walls=occluded_box_walls(), occlusion_enabled=True, noise_sigma=1e-3)
+
+    def forbidden(normal):
+        raise AssertionError("plane_basis ran during an emission")
+
+    monkeypatch.setattr(geometry, "plane_basis", forbidden)
+    for idx, pose in enumerate(scn.path):
+        generate_echoes(scn, pose, idx)
+        ground_truth_sources(scn, pose)
+
+
 def test_noiseless_ignores_seed():
     scn = box_scenario()
     a = generate_echoes(scn, scn.path[2], 2)
@@ -340,6 +401,35 @@ def test_echo_set_difference_of_empty_microphone_sets():
     assert echo_set_difference(one_empty, full) == np.inf
     assert echo_set_difference(full, one_empty) == np.inf
     assert echo_set_difference(two_empty, one_empty) == np.inf
+
+
+def test_echo_set_difference_equals_the_per_entry_reference():
+    # The per-entry Hausdorff distance, bit for bit; half the sets share a
+    # coarse grid of entries, so exact ties and zero gaps occur.
+    def reference(a, b):
+        worst = 0.0
+        for da, db in zip(a.d_sets, b.d_sets):
+            if not (da and db):
+                if da or db:
+                    return math.inf
+                continue
+            ra, rb = np.sqrt(np.asarray(da)), np.sqrt(np.asarray(db))
+            forward = np.max([np.min(np.abs(rb - x)) for x in ra])
+            backward = np.max([np.min(np.abs(ra - x)) for x in rb])
+            worst = max(worst, forward, backward)
+        return float(worst)
+
+    rng = np.random.default_rng(35)
+    for trial in range(400):
+        grid = trial % 2 == 0
+
+        def draw():
+            n = int(rng.integers(0 if trial % 7 == 0 else 1, 9))
+            return tuple(rng.integers(1, 12, n) * 0.25 if grid else rng.uniform(0.5, 60.0, n))
+
+        a, b = (EchoSet(tuple(draw() for _ in range(4))) for _ in range(2))
+        got, want = echo_set_difference(a, b), reference(a, b)
+        assert got == want and type(got) is float
 
 
 def test_ambiguity_pair_square_room_quarter_turn():
@@ -529,6 +619,16 @@ def test_scenario_validation():
     for flag in (False, True, np.bool_(False), np.bool_(True)):
         scn = box_scenario(occlusion_enabled=flag, speaker_on_vehicle=flag)
         assert scn.occlusion_enabled is scn.speaker_on_vehicle is bool(flag)
+    # Walls and poses are checked for their type, in with_overrides too.
+    walls, path = box_walls(6.0, 5.0, 3.0), demo_path()
+    with pytest.raises(ValueError, match=r"walls\[0\] must be a Wall"):
+        box_scenario(walls=(walls[0].plane,) + walls[1:])
+    with pytest.raises(ValueError, match=r"walls\[2\] must be a Wall"):
+        box_scenario().with_overrides(walls=walls[:2] + ((0.0, 0.0, 1.0),))
+    with pytest.raises(ValueError, match=r"path\[1\] must be a Pose"):
+        box_scenario(path=(path[0], (path[1].v, path[1].A)))
+    with pytest.raises(ValueError, match=r"path\[0\] must be a Pose"):
+        box_scenario().with_overrides(path=([0.0, 0.0, 1.0],))
 
 
 def test_two_dimensional_scenario_without_microphones():
@@ -539,3 +639,47 @@ def test_two_dimensional_scenario_without_microphones():
     )
     assert scn.mic_local is None
     assert len(scn.walls) == 2
+
+
+def test_coordinates_reject_bools_strings_and_objects():
+    # np.asarray(x, dtype=float) reads True and "1" as 1.0; coordinates may
+    # only be numbers, as scenario files already require.
+    mics, eye = tetra_mics(), np.eye(3)
+    bad_mics = mics.tolist()
+    bad_mics[2][1] = "0.5"
+    cases = [
+        ("point coordinates", lambda: Hyperplane(["1", "0", "0"], 0.0)),
+        ("point coordinates", lambda: Hyperplane([True, False, False], 1.0)),
+        ("point coordinates", lambda: Hyperplane(np.array([True, False, False]), 1.0)),
+        ("point coordinates", lambda: Hyperplane([True, 0.0, 0.0], 1.0)),
+        ("point coordinates", lambda: Hyperplane([1.0, None, 0.0], 1.0)),
+        ("point coordinates", lambda: Pose(["0", "0", "1"], eye)),
+        ("point coordinates", lambda: Pose([0.0, np.bool_(False), 1.0], eye)),
+        ("orientation matrix entries", lambda: Pose([0, 0, 1], eye.astype(str))),
+        ("orientation matrix entries", lambda: Pose([0, 0, 1], eye.astype(bool))),
+        ("orientation matrix entries", lambda: Pose([0, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1j]])),
+        ("orientation matrix entries", lambda: Pose([0, 0, 1], [eye[0], eye[1], [0, 0, True]])),
+        ("mic_local coordinates", lambda: MicArray(bad_mics)),
+        ("mic_local coordinates", lambda: MicArray(mics.astype(object))),
+        ("source coordinates", lambda: SourceRegistry().extend([["1", "2", "3"]])),
+        ("source coordinates", lambda: SourceRegistry().extend([[1.0, 2.0, True]])),
+        ("point coordinates", lambda: Scenario(walls=box_walls(6, 5, 3), speaker=["1", "2", "3"])),
+        (
+            "wall boundary coordinates",
+            lambda: Wall(Hyperplane([0, 0, 1], 0.0), [[0, 0, 0], [1, 0, 0], ["1", "1", "0"]]),
+        ),
+    ]
+    for what, build in cases:
+        with pytest.raises(ValueError, match=f"{what} must be numbers"):
+            build()
+    # Numbers of any real dtype still build, and a float point is not copied.
+    point = np.array([0.0, 0.0, 1.0])
+    assert geometry.as_point(point) is point
+    assert np.array_equal(Hyperplane(np.array([0, 0, 2], dtype=np.int8), 1).normal, [0, 0, 1])
+    pose = Pose(np.float32([1, 2, 3]), eye.astype(np.float32).tolist())
+    assert pose.v.dtype == pose.A.dtype == np.float64
+    assert np.array_equal(MicArray(mics.astype(np.float32)).local, mics.astype(np.float32))
+    registry = SourceRegistry()
+    registry.extend([[1, 2, 3], np.float32([4, 5, 6])])
+    assert np.array_equal(registry.as_array(), [[1, 2, 3], [4, 5, 6]])
+    assert np.array_equal(Scenario(walls=box_walls(6, 5, 3), speaker=[1, 2, 3]).speaker, [1, 2, 3])
